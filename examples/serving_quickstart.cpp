@@ -8,7 +8,7 @@
 //     budget and a bounded admission queue,
 //  2. generate a seeded Poisson request stream (open loop: arrivals never
 //     wait for the server),
-//  3. serve it -- queue -> continuous batcher -> CometExecutor::RunBatch,
+//  3. serve it -- queue -> continuous batcher -> CometExecutor::RunBatchInto,
 //     clock advanced by the timing plane -- and print per-request latency
 //     percentiles, SLO attainment and throughput,
 //  4. re-serve the SAME stream: the report is bit-identical, because a

@@ -83,7 +83,7 @@ struct CometExecutor::FunctionalScratch {
     GroupGemmProblem problem1;
   };
   std::vector<RankScratch> ranks;
-  PersistentRankGroup group;
+  RankGroup group;
 };
 
 struct CometExecutor::ServingState {
@@ -135,22 +135,6 @@ bool CometExecutor::Supports(const ParallelConfig&) const { return true; }
 
 LayerExecution CometExecutor::Run(const MoeWorkload& workload,
                                   const ClusterSpec& cluster, ExecMode mode) {
-  return RunWithCache(workload, cluster, mode, options_.profile_cache);
-}
-
-LayerExecution CometExecutor::RunBatch(const MoeWorkload& workload,
-                                       const ClusterSpec& cluster,
-                                       ExecMode mode) {
-  return RunWithCache(workload, cluster, mode,
-                      options_.profile_cache != nullptr
-                          ? options_.profile_cache
-                          : &batch_profile_cache_);
-}
-
-LayerExecution CometExecutor::RunWithCache(const MoeWorkload& workload,
-                                           const ClusterSpec& cluster,
-                                           ExecMode mode,
-                                           MetadataStore* cache) {
   COMET_CHECK_EQ(cluster.world_size, workload.world())
       << "cluster and workload world sizes disagree";
   // Caps every ParallelFor this run issues -- including the whole-matrix
@@ -172,7 +156,8 @@ LayerExecution CometExecutor::RunWithCache(const MoeWorkload& workload,
   LayerExecution out;
   out.executor = name();
   TimedScratch timed;
-  RunTimedInto(workload, cluster, out, cache, timed, nullptr);
+  RunTimedInto(workload, cluster, out, options_.profile_cache, timed,
+               nullptr);
   if (mode == ExecMode::kFunctional) {
     FunctionalScratch fn;
     RunFunctionalInto(workload, out, fn);
@@ -345,7 +330,7 @@ void CometExecutor::RunTimedInto(const MoeWorkload& workload,
   } else {
     if (nc_memo != nullptr) {
       // First sight of this batch size: re-run the decomposition sanity
-      // check RunWithCache performs on every call (warm-up only here).
+      // check Run performs on every call (warm-up only here).
       const int64_t shared_rows =
           placement.total_tokens() * placement.model().topk;
       COMET_CHECK(ResolveDecomposition(Layer0SharedTensor(
@@ -759,10 +744,9 @@ void CometExecutor::RunFunctionalInto(const MoeWorkload& workload,
         });
   };
 
-  // Configure resolves concurrency against the ambient thread limit exactly
-  // like the one-shot RankGroup constructor did; with an unchanged shape it
-  // is an allocation-free no-op, so steady-state iterations reuse the parked
-  // rank threads.
+  // Configure resolves concurrency against the ambient thread limit; with an
+  // unchanged shape it is an allocation-free no-op, so steady-state
+  // iterations reuse the parked rank threads.
   scratch.group.Configure(
       world, RankGroupOptions{.num_threads = options_.num_threads});
   scratch.group.Run(produce, consume);

@@ -86,19 +86,6 @@ class CometExecutor : public MoeLayerExecutor {
   LayerExecution Run(const MoeWorkload& workload, const ClusterSpec& cluster,
                      ExecMode mode) override;
 
-  // Batch-reuse entry point for the serving plane: identical semantics (and
-  // bit-identical results) to Run, but adaptive division-point profiles are
-  // cached in an executor-owned MetadataStore keyed by
-  // AdaptiveAssigner::ProfileKey (cluster | model | M | TP | EP | stage).
-  // A continuous batcher re-runs the same few batch shapes thousands of
-  // times; with Run each iteration would re-sweep the candidate grid -- the
-  // host-side overhead the paper's §5.3 decode regime is dominated by --
-  // while RunBatch profiles each shape once. When options.profile_cache is
-  // set it is used instead (shared across executors / persisted runs). Not
-  // thread-safe: one serving loop per executor.
-  LayerExecution RunBatch(const MoeWorkload& workload,
-                          const ClusterSpec& cluster, ExecMode mode);
-
   // ---- zero-allocation serving fast path ------------------------------------
   //
   // A serving loop re-executes the same layer shape thousands of times. The
@@ -108,7 +95,15 @@ class CometExecutor : public MoeLayerExecutor {
   // per-expert tensor slabs, parked rank threads) and warms the thread-local
   // scratch of every pool worker and rank thread; RunBatchInto then executes
   // one batch into a caller-persistent LayerExecution, reusing all of it.
-  // Results are bit-identical to RunBatch for the same inputs.
+  // Results are bit-identical to Run for the same inputs. Adaptive
+  // division-point profiles are cached in an executor-owned MetadataStore
+  // keyed by AdaptiveAssigner::ProfileKey (cluster | model | M | TP | EP |
+  // stage): a continuous batcher re-runs the same few batch shapes, and
+  // re-sweeping the candidate grid every iteration is the host-side
+  // overhead the paper's §5.3 decode regime is dominated by. When
+  // options.profile_cache is set it is used instead (shared across
+  // executors / persisted runs). Not thread-safe: one serving loop per
+  // executor.
 
   // Preallocates serving workspaces for batches up to `max_placement`'s
   // token count (its model/parallel shape must match the batches served).
@@ -117,7 +112,7 @@ class CometExecutor : public MoeLayerExecutor {
   void PrepareServing(const Placement& max_placement,
                       const ClusterSpec& cluster);
 
-  // RunBatch semantics (including the adaptive-profile cache) built into
+  // Runs one batch (Run semantics plus the adaptive-profile cache) into
   // `*out` in place. After PrepareServing and one warm-up call per distinct
   // batch token count, performs zero heap allocations per call. In
   // kTimedOnly mode `out->outputs` is left untouched.
@@ -148,7 +143,7 @@ class CometExecutor : public MoeLayerExecutor {
   // so they are never read) until the next promote overwrites them.
   void RetireReplica(int slot);
   // Drops every cached division-point profile (the per-M serving memo and
-  // the executor-owned RunBatch store). The adaptation loop calls this when
+  // the executor-owned profile store). The adaptation loop calls this when
   // the replica layout changes: ProfileKey does not encode replicas, so
   // cached division points no longer describe the plan being priced. The
   // next iteration per batch size re-profiles against the current layout.
@@ -156,8 +151,8 @@ class CometExecutor : public MoeLayerExecutor {
 
   // Re-arms the transport-integrity knobs between iterations (the serving
   // plane uses this to inject a one-iteration corruption fault without
-  // rebuilding the executor). Takes effect at the next Run/RunBatch, which
-  // constructs its symmetric heap from these options.
+  // rebuilding the executor). Takes effect at the next Run or RunBatchInto,
+  // which arm their symmetric heap from these options.
   void SetTransportIntegrity(bool verify, double corrupt_rate,
                              uint64_t corrupt_seed) {
     options_.verify_transport = verify;
@@ -168,13 +163,12 @@ class CometExecutor : public MoeLayerExecutor {
   // Division points chosen for the last Run (diagnostics / tests).
   int last_layer0_comm_blocks() const { return last_nc0_; }
   int last_layer1_comm_blocks() const { return last_nc1_; }
-  // Entries in the executor-owned RunBatch profile cache (diagnostics).
+  // Entries in the executor-owned serving profile cache (diagnostics).
   size_t batch_profile_entries() const { return batch_profile_cache_.size(); }
 
-  // Serving profile-memo traffic: how often RunBatch found its division
+  // Serving profile-memo traffic: how often RunBatchInto found its division
   // points already tuned for the batch's token count vs. ran the candidate
-  // sweep. Counted only when the serving memo is consulted (RunBatch), so
-  // plain Run calls never move these.
+  // sweep. Plain Run calls never move these.
   uint64_t profile_memo_hits() const { return profile_memo_hits_; }
   uint64_t profile_memo_misses() const { return profile_memo_misses_; }
 
@@ -200,9 +194,6 @@ class CometExecutor : public MoeLayerExecutor {
   struct FunctionalScratch;  // persistent heap + per-rank tensor slabs (.cc)
   struct ServingState;       // everything PrepareServing owns (.cc)
 
-  LayerExecution RunWithCache(const MoeWorkload& workload,
-                              const ClusterSpec& cluster, ExecMode mode,
-                              MetadataStore* cache);
   void RunTimedInto(const MoeWorkload& workload, const ClusterSpec& cluster,
                     LayerExecution& out, MetadataStore* cache,
                     TimedScratch& scratch, std::vector<NcMemoEntry>* nc_memo);

@@ -78,8 +78,9 @@ void GemmTileImpl(const float* a, const float* b, float* c, int64_t k,
 
   for (int64_t jj = col_begin; jj < col_end; jj += kNR) {
     const int64_t width = std::min(kNR, col_end - jj);
-    // Pack the B panel once per column chunk; pad unused lanes with zeros so
-    // the full-width kernel below never reads past the logical columns.
+    // The B panel is packed once per column chunk, with unused lanes padded
+    // with zeros so the full-width kernel below never reads past the
+    // logical columns.
     for (int64_t p = 0; p < k; ++p) {
       const float* b_row = b + p * n + jj;
       float* dst = pk + p * kNR;

@@ -34,12 +34,22 @@
 // classic blocked-task-on-bounded-pool deadlock). The pool still executes
 // all intra-rank parallelism -- each rank thread re-installs the caller's
 // ScopedThreadLimit and fans its tile/row loops out through ParallelFor.
+//
+// The rank threads are parked, not spawned per Run. A serving loop launches
+// the same R-rank pipeline thousands of times; spawning and joining R-1
+// threads per iteration is both slow and an allocation source. Each
+// dedicated thread waits on a generation counter: Run publishes the stage
+// callbacks, bumps the generation, and rank 0 executes on the caller while
+// ranks 1..R-1 wake, run, and park again. Rank r always runs on thread r, so
+// thread-local scratch (GEMM panels, wire buffers) warmed once per thread
+// stays warm for that rank -- the property the zero-allocation serving tier
+// depends on. Steady-state Run calls are allocation-free on every thread
+// (FunctionRef stages, fixed error slots, condition-variable parking).
 #pragma once
 
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
-#include <functional>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -61,75 +71,44 @@ struct RankGroupOptions {
   bool phase_barrier = false;
 };
 
+// Not thread-safe: one Run at a time.
 class RankGroup {
  public:
-  explicit RankGroup(int num_ranks, RankGroupOptions options = {});
+  // An unshaped group; Configure before the first Run.
+  RankGroup() = default;
+  // Shapes the group at construction (one-shot call sites).
+  explicit RankGroup(int num_ranks, RankGroupOptions options = {}) {
+    Configure(num_ranks, options);
+  }
+  ~RankGroup();
+  RankGroup(const RankGroup&) = delete;
+  RankGroup& operator=(const RankGroup&) = delete;
+
+  // (Re)shapes the group: starts or stops dedicated threads as needed.
+  // Allocates only when the shape or concurrency actually changes (warm-up).
+  // The concurrency policy resolves against the thread limit active NOW.
+  void Configure(int num_ranks, RankGroupOptions options);
 
   int num_ranks() const { return num_ranks_; }
   // True when Run executes ranks on dedicated concurrent threads.
   bool concurrent() const { return concurrent_; }
 
   // Executes produce(r) and then consume(r) for every rank r in [0, R).
-  // `consume` may be empty. Exceptions: each rank's first exception is
-  // captured; after all ranks finish, the lowest-numbered rank's exception
-  // is rethrown (matching ParallelFor). A rank that failed in produce skips
-  // its consume stage; peers waiting on its signals time out through
-  // SymmetricHeap::WaitUntilSignalGe rather than hanging.
-  void Run(const std::function<void(int)>& produce,
-           const std::function<void(int)>& consume) const;
-
-  // Single-stage convenience.
-  void Run(const std::function<void(int)>& work) const;
-
- private:
-  int num_ranks_;
-  RankGroupOptions options_;
-  bool concurrent_;
-};
-
-// PersistentRankGroup: RankGroup semantics on parked, reusable rank threads.
-//
-// A serving loop launches the same R-rank pipeline thousands of times;
-// spawning and joining R-1 std::threads per iteration is both slow and an
-// allocation source. This variant keeps one dedicated thread per rank parked
-// on a generation counter: Run publishes the stage callbacks, bumps the
-// generation, and rank 0 executes on the caller while ranks 1..R-1 wake,
-// run, and park again. Rank r always runs on thread r, so thread-local
-// scratch (GEMM panels, wire buffers) warmed once per thread stays warm for
-// that rank -- the property the zero-allocation serving tier depends on.
-//
-// Semantics match RankGroup::Run exactly: serial phased execution when the
-// effective thread budget is 1, per-rank first-exception capture with the
-// lowest rank's exception rethrown, optional produce/consume phase barrier,
-// and re-installation of the caller's ScopedThreadLimit on every rank
-// thread. Steady-state Run calls are allocation-free on every thread
-// (FunctionRef stages, fixed error slots, condition-variable parking).
-// Not thread-safe: one Run at a time.
-class PersistentRankGroup {
- public:
-  PersistentRankGroup() = default;
-  ~PersistentRankGroup();
-  PersistentRankGroup(const PersistentRankGroup&) = delete;
-  PersistentRankGroup& operator=(const PersistentRankGroup&) = delete;
-
-  // (Re)shapes the group: starts or stops dedicated threads as needed.
-  // Allocates only when the shape or concurrency actually changes (warm-up).
-  // The concurrency policy resolves against the thread limit active NOW,
-  // exactly like the RankGroup constructor.
-  void Configure(int num_ranks, RankGroupOptions options);
-
-  int num_ranks() const { return num_ranks_; }
-  bool concurrent() const { return concurrent_; }
-
-  // Executes produce(r) then consume(r) for every rank (consume may be a
-  // null FunctionRef). See RankGroup::Run for the full contract.
+  // `consume` may be a null FunctionRef. Exceptions: each rank's first
+  // exception is captured; after all ranks finish, the lowest-numbered
+  // rank's exception is rethrown (matching ParallelFor). A rank that failed
+  // in produce skips its consume stage; peers waiting on its signals time
+  // out through SymmetricHeap::WaitUntilSignalGe rather than hanging.
   void Run(FunctionRef<void(int)> produce, FunctionRef<void(int)> consume);
+  // Single-stage convenience.
   void Run(FunctionRef<void(int)> work) { Run(work, FunctionRef<void(int)>()); }
 
  private:
   void RankBody(int r, FunctionRef<void(int)> produce,
                 FunctionRef<void(int)> consume, int limit);
-  void WorkerLoop(int r);
+  // Rank r's thread body: runs every generation after `seen`, parked in
+  // between, until Shutdown.
+  void WorkerLoop(int r, uint64_t seen);
   void Shutdown();
 
   int num_ranks_ = 0;

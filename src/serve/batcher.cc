@@ -32,12 +32,6 @@ int64_t ContinuousBatcher::Admit(const RequestSpec& spec) {
   return slot;
 }
 
-BatchPlan ContinuousBatcher::Pack() {
-  BatchPlan plan;
-  PackInto(&plan);
-  return plan;
-}
-
 void ContinuousBatcher::PackInto(BatchPlan* out) {
   BatchPlan& plan = *out;
   plan.entries.clear();
@@ -86,12 +80,6 @@ void ContinuousBatcher::PackInto(BatchPlan* out) {
     });
     budget -= chunk;
   }
-}
-
-std::vector<int64_t> ContinuousBatcher::Complete(const BatchPlan& plan) {
-  std::vector<int64_t> finished;
-  CompleteInto(plan, &finished);
-  return finished;
 }
 
 void ContinuousBatcher::CompleteInto(const BatchPlan& plan,

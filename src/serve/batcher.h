@@ -17,8 +17,9 @@
 //
 // The batcher is pure bookkeeping: no tensors, no clock. The server maps
 // plans to MoE batches; serve_test drives randomized request streams through
-// Pack/Complete and asserts the packing invariants (budget respected, every
-// token scheduled exactly once, FIFO within class) hold for all of them.
+// PackInto/CompleteInto and asserts the packing invariants (budget
+// respected, every token scheduled exactly once, FIFO within class) hold for
+// all of them.
 #pragma once
 
 #include <cstdint>
@@ -81,19 +82,17 @@ class ContinuousBatcher {
   // order (0, 1, 2, ...), which is also the FIFO key within each class.
   int64_t Admit(const RequestSpec& spec);
 
-  // Packs the next iteration over the live requests. Empty plan when no
+  // Packs the next iteration over the live requests into `*plan`: clears
+  // and refills its entries (capacity retained, so a plan reused across
+  // iterations allocates only until its entry capacity reaches the
+  // high-water mark, <= token_budget entries). Leaves an empty plan when no
   // request has work left (all finished, or none admitted).
-  BatchPlan Pack();
-  // In-place Pack: clears and refills `plan->entries` (capacity retained),
-  // so a plan reused across iterations allocates only until its entry
-  // capacity reaches the high-water mark (<= token_budget entries).
   void PackInto(BatchPlan* plan);
 
-  // Records that `plan` (the most recent Pack result) was executed:
-  // advances per-request progress. Returns the slots that FINISHED with
-  // this iteration, in slot order.
-  std::vector<int64_t> Complete(const BatchPlan& plan);
-  // In-place Complete: clears and refills `*finished` (capacity retained).
+  // Records that `plan` (the most recent PackInto result) was executed:
+  // advances per-request progress. Clears and refills `*finished` (capacity
+  // retained) with the slots that FINISHED with this iteration, in slot
+  // order.
   void CompleteInto(const BatchPlan& plan, std::vector<int64_t>* finished);
 
   // Withdraws a live (not finished) request: it stops being packed and no

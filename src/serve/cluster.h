@@ -4,30 +4,34 @@
 // Each replica is a full serving plane of its own -- executor, symmetric
 // heap, EP group, admission queue, continuous batcher -- constructed from
 // the same ServeOptions (same seed => same weights: replicas of one model).
-// The cluster advances a single event loop; at every scheduling point it
-//  A. fires due FaultPlan events (fail / drain / wedge / corrupt /
+// The cluster advances a single event loop, MoeCluster::ClusterRun (one
+// private object per Run, one method per phase). At every scheduling point
+// it runs, in order:
+//  1. FireFaults: due FaultPlan events (fail / drain / wedge / corrupt /
 //     recover); a kRecover replica is rebuilt from scratch (fresh executor,
 //     heap, EP group, COLD profile cache) and re-enters the accepting set
-//     after ClusterOptions::recovery_warmup_us;
-//  B. retires replica iterations whose simulated end time has been reached
-//     (a replica that was failed mid-iteration dies here: the in-flight
-//     iteration stands, then its remaining requests are drained). Newly
-//     completed requests are observed here; under hedging, the FIRST
+//     after ClusterOptions::recovery_warmup_us (FinishWarmups);
+//  2. RetireIterations: replica iterations whose simulated end time has
+//     been reached (a replica that was failed mid-iteration dies here: the
+//     in-flight iteration stands, then its remaining requests are drained).
+//     Newly completed requests are observed here; under hedging, the FIRST
 //     observed completion of a request wins and every other copy is
 //     cancelled wherever it is (queued, live, or completed-unobserved),
 //     with its executed tokens charged to wasted_tokens;
-//  C. dispatches work: due backoff retries and recovered requests first
-//     (admission order preserved), then arrivals with arrival_us <= now,
-//     each through the placement policy to exactly one accepting replica
-//     (none accepting => counted shed / failed_in_flight /
-//     retries_exhausted, never silently dropped); then hedges: a request
-//     still queue-waiting after hedge_queue_wait_us gets one speculative
-//     second copy on the least-loaded other eligible replica;
-//  D. starts one iteration on every alive idle replica with work, in
+//  3. DispatchRetries / DispatchBacklog / DispatchArrivals: due backoff
+//     retries and recovered requests first (admission order preserved),
+//     then arrivals with arrival_us <= now, each through the placement
+//     policy to exactly one accepting replica (none accepting => counted
+//     shed / failed_in_flight / retries_exhausted, never silently dropped);
+//  4. Hedge: a request still queue-waiting after hedge_queue_wait_us gets
+//     one speculative second copy on the least-loaded other eligible
+//     replica;
+//  5. StepReplicas: one iteration on every alive idle replica with work, in
 //     replica-index order;
-//  E. advances the clock to the next event (iteration end, arrival, fault,
-//     retry due time, warm-up end, breaker probe time, hedge deadline) --
-//     or terminates when none remain.
+//  6. PollBreakers: circuit-breaker transitions become trace instants;
+//  7. NextEventTime: the clock advances to the next event (iteration end,
+//     arrival, fault, retry due time, warm-up end, hedge deadline) -- or the
+//     loop terminates when none remain and Finish builds the report.
 //
 // Health-aware placement: a per-replica failure EWMA feeds a circuit
 // breaker (serve/health.h). A dead/wedged/corrupted replica force-opens its
@@ -199,6 +203,9 @@ class MoeCluster {
   std::string ExportTelemetryJsonl() const;
 
  private:
+  // One Run's dispatcher state and event loop (cluster.cc).
+  class ClusterRun;
+
   ClusterOptions options_;
   // Kept so kRecover can rebuild a replica from scratch mid-run.
   ClusterSpec replica_cluster_;

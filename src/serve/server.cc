@@ -401,6 +401,21 @@ void MoeServer::BuildBatchWorkloadInto(const BatchPlan& plan,
 }
 
 void MoeServer::BeginRun(RunBounds bounds) {
+  if (run_ != nullptr) {
+    // The previous run's hot-expert replicas still hold executor slots, and
+    // cached division points were profiled against that replica layout.
+    // Free both, so this run starts exactly like the first one did.
+    bool retired = false;
+    for (const ReplicaAssignment& replica : run_->tracker.replicas()) {
+      if (replica.expert >= 0) {
+        executor_.RetireReplica(replica.slot);
+        retired = true;
+      }
+    }
+    if (retired) {
+      executor_.InvalidateBatchProfiles();
+    }
+  }
   run_ = std::make_unique<RunState>(options_, weights_, sharded_weights_,
                                     bounds);
   telemetry_.BeginRun();
@@ -610,7 +625,7 @@ bool MoeServer::StepIteration(double now, double* end_us) {
     run.batcher_tokens += spec->TotalTokens();
   }
 
-  // Pack one iteration into the persistent plan.
+  // One iteration, packed into the persistent plan.
   run.batcher.PackInto(&run.plan);
   const BatchPlan& plan = run.plan;
   if (plan.empty()) {
@@ -896,31 +911,39 @@ ServeReport MoeServer::BuildReport(double sim_duration_us) const {
   report.itl_us = SummarizeLatency(run.itls);
   report.e2e_us = SummarizeLatency(run.e2es);
 
-  uint64_t combined = Fnv1aInit();
+  const CompletionSummary summary =
+      SummarizeCompletions(completed, report.shed, options_.slo);
+  report.combined_digest = summary.combined_digest;
+  report.slo_attainment = summary.slo_attainment;
+  report.slo_violations = summary.slo_violations;
+  report.completed = std::move(completed);
+  return report;
+}
+
+CompletionSummary SummarizeCompletions(
+    std::span<const RequestRecord> completed, int64_t lost,
+    const SloTargets& slo) {
+  CompletionSummary summary;
+  summary.combined_digest = Fnv1aInit();
   int64_t met = 0;
   for (const RequestRecord& rec : completed) {
-    combined = Fnv1aAdd(combined, &rec.output_digest,
-                        sizeof(rec.output_digest));
-    const bool ttft_ok =
-        options_.slo.ttft_us <= 0.0 || rec.ttft_us <= options_.slo.ttft_us;
-    const bool itl_ok =
-        options_.slo.itl_us <= 0.0 || rec.mean_itl_us <= options_.slo.itl_us;
+    summary.combined_digest =
+        Fnv1aAdd(summary.combined_digest, &rec.output_digest,
+                 sizeof(rec.output_digest));
+    const bool ttft_ok = slo.ttft_us <= 0.0 || rec.ttft_us <= slo.ttft_us;
+    const bool itl_ok = slo.itl_us <= 0.0 || rec.mean_itl_us <= slo.itl_us;
     if (ttft_ok && itl_ok) {
       ++met;
     }
   }
-  report.combined_digest = combined;
-  report.completed = std::move(completed);
-
-  if (options_.slo.Configured()) {
-    const int64_t denom =
-        static_cast<int64_t>(report.completed.size()) + report.shed;
-    report.slo_violations = denom - met;
-    report.slo_attainment =
+  if (slo.Configured()) {
+    const int64_t denom = static_cast<int64_t>(completed.size()) + lost;
+    summary.slo_violations = denom - met;
+    summary.slo_attainment =
         denom > 0 ? static_cast<double>(met) / static_cast<double>(denom)
                   : 1.0;
   }
-  return report;
+  return summary;
 }
 
 ServeReport MoeServer::Serve(const std::vector<RequestSpec>& arrivals) {

@@ -12,7 +12,7 @@
 //  4. the packed tokens become one MoeWorkload -- rows gathered from the
 //     per-request prompt tensors / decode feedback rows, padded to a
 //     multiple of EP, routed content-based through a softmax top-k gate --
-//     and run through CometExecutor::RunBatch (functional plane: real
+//     and run through CometExecutor::RunBatchInto (functional plane: real
 //     numerics at compute_dtype across the EP ranks; timing plane: the
 //     simulated iteration duration);
 //  5. the clock advances by host_overhead_us + the simulated duration;
@@ -29,7 +29,7 @@
 //
 // Allocation: the executor's PrepareServing workspaces plus run-level
 // reservations (a FixedPool of LiveRequests, a persistent MoeWorkload and
-// LayerExecution, ring-buffered admission, in-place Pack/Complete) make the
+// LayerExecution, ring-buffered admission, PackInto/CompleteInto) make the
 // steady-state StepIteration perform zero heap allocations once warm --
 // alloc_test pins this with an interposed operator-new counter (see
 // docs/ARCHITECTURE.md, "The allocation plane").
@@ -176,9 +176,26 @@ struct ServeReport {
   int64_t replicated_rows = 0;
 };
 
-// Read-only view of the accumulated state of the current run, for the
-// cluster dispatcher's aggregation (the single-server Serve wraps the same
-// state into a ServeReport via BuildReport).
+// The digest and SLO accounting every serving report shares (ServeReport
+// and ClusterReport). `completed` must be in request-id order; `lost`
+// counts requests that never completed (shed or failed), each of which is
+// an SLO violation.
+struct CompletionSummary {
+  // FNV-1a over the per-request output digests, in order.
+  uint64_t combined_digest = 0;
+  // met / (completed + lost); 1.0 with no violations counted when `slo` is
+  // not configured.
+  double slo_attainment = 1.0;
+  int64_t slo_violations = 0;
+};
+CompletionSummary SummarizeCompletions(
+    std::span<const RequestRecord> completed, int64_t lost,
+    const SloTargets& slo);
+
+// Read-only view of the accumulated state of one run, for the cluster
+// dispatcher's aggregation (the single-server Serve wraps the same state
+// into a ServeReport via BuildReport). The cluster also views its
+// concatenated per-slot totals through it.
 struct RunView {
   std::span<const RequestRecord> completed;  // retirement order
   std::span<const double> queue_waits;

@@ -591,6 +591,38 @@ TEST(ClusterAdaptation, CountersAggregateAndStayDeterministic) {
   EXPECT_EQ(digests[0], digests[1]);
 }
 
+// ---- an adaptive server or fleet is reusable across runs -------------------
+
+// Both Serve and MoeCluster::Run promise "each call is an independent run".
+// With adaptation on, the first run ends with hot-expert replicas still
+// holding executor slots; the next run must start from free slots and cold
+// profiles, so it replays the first bit for bit.
+TEST(AdaptationReuse, SecondServeReplaysTheFirst) {
+  const auto arrivals = LoadGenerator(BaseLoadOptions()).GenerateAll();
+  MoeServer server(AdaptServeOptions(4, DType::kBF16, 1), H800Cluster(4));
+  const ServeReport first = server.Serve(arrivals);
+  ASSERT_GT(first.promotions, 0) << "the reuse check is vacuous otherwise";
+  const ServeReport second = server.Serve(arrivals);
+  EXPECT_EQ(second.combined_digest, first.combined_digest);
+  EXPECT_EQ(second.promotions, first.promotions);
+  EXPECT_EQ(RequestDigest(second.completed), RequestDigest(first.completed));
+}
+
+TEST(AdaptationReuse, SecondClusterRunReplaysTheFirst) {
+  ClusterOptions co;
+  co.server = AdaptServeOptions(4, DType::kBF16, 1);
+  co.replicas = 2;
+  co.placement = PlacementPolicy::kLeastLoaded;
+  const auto arrivals = LoadGenerator(BaseLoadOptions(32)).GenerateAll();
+  MoeCluster cluster(co, H800Cluster(4));
+  const ClusterReport first = cluster.Run(arrivals);
+  ASSERT_GT(first.promotions, 0) << "the reuse check is vacuous otherwise";
+  const ClusterReport second = cluster.Run(arrivals);
+  EXPECT_EQ(second.combined_digest, first.combined_digest);
+  EXPECT_EQ(second.promotions, first.promotions);
+  EXPECT_EQ(RequestDigest(second.completed), RequestDigest(first.completed));
+}
+
 // ---- zero allocations survive adaptation -----------------------------------
 
 TEST(AdaptationZeroAlloc, SteadyStateWindowWithReplicationActive) {

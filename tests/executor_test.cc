@@ -178,13 +178,16 @@ TEST(CometBatch, RunBatchMatchesRunAndCachesProfiles) {
   CometExecutor plain{CometOptions{.tile_m = 8, .tile_n = 8}};
   CometExecutor batched{CometOptions{.tile_m = 8, .tile_n = 8}};
   const auto via_run = plain.Run(w, cluster, ExecMode::kFunctional);
+  batched.PrepareServing(w.placement, cluster);
   EXPECT_EQ(batched.batch_profile_entries(), 0u);
-  const auto via_batch = batched.RunBatch(w, cluster, ExecMode::kFunctional);
+  LayerExecution via_batch;
+  batched.RunBatchInto(w, cluster, ExecMode::kFunctional, &via_batch);
   ExpectBitExact(via_run.outputs, via_batch.outputs);
   EXPECT_EQ(via_run.duration_us, via_batch.duration_us);
   EXPECT_GT(batched.batch_profile_entries(), 0u);
   // Division points agree between the swept and the cached path.
-  const auto again = batched.RunBatch(w, cluster, ExecMode::kFunctional);
+  LayerExecution again;
+  batched.RunBatchInto(w, cluster, ExecMode::kFunctional, &again);
   EXPECT_EQ(again.duration_us, via_run.duration_us);
   EXPECT_EQ(batched.last_layer0_comm_blocks(), plain.last_layer0_comm_blocks());
   EXPECT_EQ(batched.last_layer1_comm_blocks(), plain.last_layer1_comm_blocks());

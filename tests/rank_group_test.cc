@@ -2,7 +2,8 @@
 //
 // Three layers of assurance:
 //  * RankGroup semantics -- serial/concurrent mode selection, phase order,
-//    barrier behavior, exception propagation, real concurrency.
+//    barrier behavior, exception propagation, real concurrency, and reuse
+//    of one group's parked rank threads across runs and reshapes.
 //  * SymmetricHeap under genuine concurrency -- put-with-signal pipelines
 //    between live rank threads, blocking wait-until, exact traffic totals
 //    under contention, wait timeouts. (These are the suites the TSan CI job
@@ -133,6 +134,81 @@ TEST(RankGroup, ExplicitThreadCountOverridesScopedLimit) {
 TEST(RankGroup, SingleRankNeverGoesConcurrent) {
   RankGroup group(1, RankGroupOptions{.num_threads = 8});
   EXPECT_FALSE(group.concurrent());
+}
+
+// ---- one group, many runs: the parked-thread reuse contract -----------------
+
+TEST(RankGroupReuse, AlternatingProduceOnlyAndTwoStageRuns) {
+  constexpr int kRanks = 4;
+  RankGroup group(kRanks, RankGroupOptions{.num_threads = kRanks});
+  ASSERT_TRUE(group.concurrent());
+  std::vector<std::atomic<int>> produced(kRanks), consumed(kRanks);
+  constexpr int kRuns = 200;
+  for (int run = 0; run < kRuns; ++run) {
+    const auto produce = [&](int r) { produced[static_cast<size_t>(r)]++; };
+    if (run % 2 == 0) {
+      group.Run(produce);
+    } else {
+      group.Run(produce, [&](int r) { consumed[static_cast<size_t>(r)]++; });
+    }
+  }
+  for (int r = 0; r < kRanks; ++r) {
+    EXPECT_EQ(produced[static_cast<size_t>(r)].load(), kRuns);
+    EXPECT_EQ(consumed[static_cast<size_t>(r)].load(), kRuns / 2);
+  }
+}
+
+TEST(RankGroupReuse, RunAfterAThrowingRunIsClean) {
+  constexpr int kRanks = 3;
+  RankGroup group(kRanks, RankGroupOptions{.num_threads = kRanks});
+  EXPECT_THROW(group.Run([](int r) {
+    if (r == 2) {
+      throw std::runtime_error("rank 2 produce failed");
+    }
+  }),
+               std::runtime_error);
+  // The captured error must not leak into the next run, and every rank
+  // (the failed one included) must run both stages again.
+  std::vector<std::atomic<int>> produced(kRanks), consumed(kRanks);
+  group.Run([&](int r) { produced[static_cast<size_t>(r)]++; },
+            [&](int r) { consumed[static_cast<size_t>(r)]++; });
+  for (int r = 0; r < kRanks; ++r) {
+    EXPECT_EQ(produced[static_cast<size_t>(r)].load(), 1);
+    EXPECT_EQ(consumed[static_cast<size_t>(r)].load(), 1);
+  }
+}
+
+// Runs `group` once and returns how many distinct ranks executed, checking
+// each ran exactly once.
+int RunAndCountRanks(RankGroup& group) {
+  std::vector<std::atomic<int>> ran(static_cast<size_t>(group.num_ranks()));
+  group.Run([&](int r) { ran[static_cast<size_t>(r)]++; });
+  int distinct = 0;
+  for (const std::atomic<int>& count : ran) {
+    EXPECT_EQ(count.load(), 1);
+    distinct += count.load() == 1 ? 1 : 0;
+  }
+  return distinct;
+}
+
+TEST(RankGroupReuse, ConfigureReshapesFourToTwoToFour) {
+  RankGroup group;
+  for (const int ranks : {4, 2, 4}) {
+    group.Configure(ranks, RankGroupOptions{.num_threads = ranks});
+    EXPECT_EQ(group.num_ranks(), ranks);
+    EXPECT_TRUE(group.concurrent());
+    EXPECT_EQ(RunAndCountRanks(group), ranks);
+  }
+}
+
+TEST(RankGroupReuse, ConfigureFlipsSerialAndConcurrentUnderThreadLimit) {
+  RankGroup group;
+  for (const int limit : {1, 4, 1, 4}) {
+    ScopedThreadLimit scoped(limit);
+    group.Configure(4, RankGroupOptions{});  // inherit the scoped limit
+    EXPECT_EQ(group.concurrent(), limit > 1);
+    EXPECT_EQ(RunAndCountRanks(group), 4);
+  }
 }
 
 // ---- SymmetricHeap under real concurrency -----------------------------------

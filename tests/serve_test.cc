@@ -261,31 +261,35 @@ TEST(Batcher, DecodePreemptsPrefillAndChunksPrompts) {
   ContinuousBatcher b(BatcherOptions{.token_budget = 4});
   // Request 0: prompt 6, decode 2. Alone, it prefills in chunks 4 + 2.
   b.Admit(Req(0, /*prompt=*/6, /*decode=*/2));
-  BatchPlan p1 = b.Pack();
+  std::vector<int64_t> finished;
+  BatchPlan p1;
+  b.PackInto(&p1);
   ASSERT_EQ(p1.entries.size(), 1u);
   EXPECT_FALSE(p1.entries[0].decode);
   EXPECT_EQ(p1.entries[0].num_tokens, 4);
-  b.Complete(p1);
+  b.CompleteInto(p1, &finished);
 
   // A newcomer shares the next iteration with request 0's prefill tail.
   b.Admit(Req(1, /*prompt=*/5, /*decode=*/0));
-  BatchPlan p2 = b.Pack();
+  BatchPlan p2;
+  b.PackInto(&p2);
   ASSERT_EQ(p2.entries.size(), 2u);
   EXPECT_EQ(p2.entries[0].slot, 0);
   EXPECT_EQ(p2.entries[0].num_tokens, 2);  // finishes prompt 0
   EXPECT_EQ(p2.entries[1].slot, 1);
   EXPECT_EQ(p2.entries[1].num_tokens, 2);  // leftover budget, chunked
-  b.Complete(p2);
+  b.CompleteInto(p2, &finished);
 
   // Request 0 now decodes; decode outranks request 1's remaining prefill.
-  BatchPlan p3 = b.Pack();
+  BatchPlan p3;
+  b.PackInto(&p3);
   ASSERT_EQ(p3.entries.size(), 2u);
   EXPECT_TRUE(p3.entries[0].decode);
   EXPECT_EQ(p3.entries[0].slot, 0);
   EXPECT_FALSE(p3.entries[1].decode);
   EXPECT_EQ(p3.entries[1].slot, 1);
   EXPECT_EQ(p3.entries[1].num_tokens, 3);
-  const auto finished = b.Complete(p3);
+  b.CompleteInto(p3, &finished);
   ASSERT_EQ(finished.size(), 1u);
   EXPECT_EQ(finished[0], 1);  // request 1 had no decode steps
 }
@@ -298,14 +302,17 @@ TEST(Batcher, MaxActiveGatesAdmission) {
   EXPECT_FALSE(b.CanAdmit());
   EXPECT_THROW(b.Admit(Req(2)), CheckError);
   // Finishing a request frees a slot.
+  BatchPlan plan;
+  std::vector<int64_t> finished;
   while (b.HasLiveWork()) {
-    b.Complete(b.Pack());
+    b.PackInto(&plan);
+    b.CompleteInto(plan, &finished);
   }
   EXPECT_TRUE(b.CanAdmit());
 }
 
 // The satellite property suite: randomized request streams through
-// Pack/Complete, asserting on EVERY iteration that
+// PackInto/CompleteInto, asserting on EVERY iteration that
 //  (a) the per-iteration token budget is never exceeded,
 //  (b) decode entries precede prefill entries and each class is in
 //      admission (FIFO) order with no skip-ahead,
@@ -329,6 +336,8 @@ TEST(Batcher, RandomizedPackingInvariants) {
     // (slot, position) -> scheduled count; filled as plans execute.
     std::map<std::pair<int64_t, int64_t>, int64_t> scheduled;
     std::vector<int64_t> admitted_slots;
+    BatchPlan plan;
+    std::vector<int64_t> finished;
     int64_t safety = 0;
     while (!pending.empty() || b.HasLiveWork()) {
       ASSERT_LT(++safety, 10000) << "batcher failed to make progress";
@@ -356,7 +365,7 @@ TEST(Batcher, RandomizedPackingInvariants) {
         }
       }
 
-      const BatchPlan plan = b.Pack();
+      b.PackInto(&plan);
       // (a) budget.
       ASSERT_LE(plan.TotalTokens(), budget);
       // (b) class order + FIFO-without-skipping within each class: the
@@ -393,7 +402,7 @@ TEST(Batcher, RandomizedPackingInvariants) {
           ++scheduled[{e.slot, e.start_pos + i}];
         }
       }
-      b.Complete(plan);
+      b.CompleteInto(plan, &finished);
     }
 
     // (c) every token of every admitted request ran exactly once.
@@ -470,7 +479,7 @@ TEST(Server, ServesEveryRequestToCompletion) {
   EXPECT_GT(report.batched_tokens, 0);
   EXPECT_GT(report.throughput_tokens_per_s, 0.0);
   EXPECT_GT(server.executor().batch_profile_entries(), 0u)
-      << "RunBatch should be filling the adaptive profile cache";
+      << "RunBatchInto should be filling the adaptive profile cache";
 
   for (const RequestRecord& r : report.completed) {
     EXPECT_GE(r.queue_wait_us, 0.0);
