@@ -4,8 +4,8 @@
 
 #include "comm/collectives.h"
 #include "comm/symmetric_heap.h"
+#include "core/comet_stages.h"
 #include "core/fused_kernel.h"
-#include "core/pipeline_ir.h"
 #include "core/reschedule.h"
 #include "moe/group_gemm.h"
 #include "runtime/rank_group.h"
@@ -72,7 +72,6 @@ MoeGradients FunctionalBackward(const MoeWorkload& w,
   const RoutePlan& plan = w.plan;
   const ModelConfig& model = placement.model();
   const int world = placement.world();
-  const int tp = placement.parallel().tp;
   const int ep = placement.parallel().ep;
   const int64_t n_embed = model.embedding;
   const int64_t hidden = placement.HiddenPerTpRank();
@@ -289,69 +288,17 @@ MoeGradients FunctionalBackward(const MoeWorkload& w,
                      tile.col_end);
         });
     for (size_t le = 0; le < num_local; ++le) {
-      const auto& slice = rank_plan.experts[le];
-      const auto& order = schedule_a.row_order[le];
-      // Disjoint destination rows + signal words per (token, slot).
-      ParallelFor(
-          0, static_cast<int64_t>(order.size()), 8,
-          [&](int64_t pos) {
-            const ExpertRow& row =
-                slice.rows[static_cast<size_t>(order[static_cast<size_t>(pos)])];
-            const int dst = placement.RankOf(row.source_group, lane);
-            const int64_t dst_row =
-                (row.token - placement.FirstTokenOfGroup(row.source_group)) *
-                    topk +
-                row.slot;
-            heap.PutRowWithSignal(dcontrib_buf, r, dst, dst_row,
-                                  da[le].row(pos), dcontrib_sig, dst_row);
-          });
+      UndispatchSlice(heap, dcontrib_buf, dcontrib_sig, placement, r,
+                      rank_plan.experts[le], schedule_a.row_order[le], da[le]);
     }
   };
 
-  // Undispatch reduction in canonical order: slot-major, TP-lane inner.
-  // The consume stage of each group's lane-0 rank: block on every expected
-  // dA contribution's arrival signal (live producers in concurrent mode),
-  // then reduce -- tokens into disjoint dinput rows, within-token order
-  // canonical, so the result is bit-identical at any concurrency.
+  // Undispatch reduction on each group's lane 0, canonical like the
+  // forward combine but unweighted: the route weights were applied to dY.
   const auto consume = [&](int r) {
-    if (placement.TpLaneOfRank(r) != 0) {
-      return;
-    }
-    const int g = placement.EpGroupOfRank(r);
-    const int reader = r;
-    const int64_t first = placement.FirstTokenOfGroup(g);
-    for (int64_t t = 0; t < group_tokens; ++t) {
-      const int64_t slots = static_cast<int64_t>(
-          w.routing.tokens[static_cast<size_t>(first + t)].experts.size());
-      for (int64_t k = 0; k < slots; ++k) {
-        for (int l = 0; l < tp; ++l) {
-          heap.WaitUntilSignalGe(dcontrib_sig, placement.RankOf(g, l),
-                                 t * topk + k, 1,
-                                 options.signal_wait_timeout_ms);
-        }
-      }
-    }
-    Tensor& dinput = grads.dinput[static_cast<size_t>(g)];
-    ParallelFor(
-        0, group_tokens, 4,
-        [&](int64_t t) {
-          thread_local std::vector<float> row_buf;
-          row_buf.resize(static_cast<size_t>(n_embed));
-          const int64_t slots = static_cast<int64_t>(
-              w.routing.tokens[static_cast<size_t>(first + t)].experts.size());
-          for (int64_t k = 0; k < slots; ++k) {
-            for (int l = 0; l < tp; ++l) {
-              heap.WaitSignalGe(dcontrib_sig, placement.RankOf(g, l),
-                                t * topk + k, 1);
-              heap.CopyRow(dcontrib_buf, reader, placement.RankOf(g, l),
-                           t * topk + k, row_buf);
-              dinput.AccumulateRow(t, row_buf, 1.0f);
-            }
-          }
-          // One rounding per dinput row after the canonical reduction --
-          // the same point the sharded reference rounds at.
-          QuantizeSpan(dinput.row(t), dtype);
-        });
+    CombineGroup(heap, dcontrib_buf, dcontrib_sig, placement, w.routing, r,
+                 /*weighted=*/false, dtype, options.signal_wait_timeout_ms,
+                 grads.dinput);
   };
 
   RankGroup group(world, RankGroupOptions{.num_threads = options.num_threads});
@@ -392,46 +339,18 @@ BackwardExecution CometBackward(const MoeWorkload& workload,
   // panel-major -- exactly the forward pipelines' conclusions.
   const int64_t shared_rows =
       placement.total_tokens() * placement.model().topk;
-  const auto pa = ResolveOverlapPipelines(
-      MoeBackwardKernelAGraph(shared_rows, n_embed, hidden));
-  COMET_CHECK(pa.size() == 1 && pa.front().chosen == DecomposeDim::kM &&
-              pa.front().hint == RescheduleHint::kArrivalOrder);
-  const auto pb = ResolveOverlapPipelines(
-      MoeBackwardKernelBGraph(shared_rows, n_embed, hidden));
-  COMET_CHECK(pb.size() == 1 && pb.front().chosen == DecomposeDim::kN &&
-              pb.front().hint == RescheduleHint::kPanelMajor);
+  CheckOverlapPipeline(MoeBackwardKernelAGraph(shared_rows, n_embed, hidden),
+                       DecomposeDim::kM, RescheduleHint::kArrivalOrder);
+  CheckOverlapPipeline(MoeBackwardKernelBGraph(shared_rows, n_embed, hidden),
+                       DecomposeDim::kN, RescheduleHint::kPanelMajor);
 
   BackwardExecution out;
   out.executor = options.name_override.empty() ? "Comet-bwd"
                                                : options.name_override;
 
-  FusedKernelConfig base;
-  base.total_blocks = cluster.gpu.num_sms;
-  base.tile_m = options.tile_m;
-  base.tile_n = options.tile_n;
-  base.reschedule = options.reschedule;
-  base.vertical_fusion = !options.specialized;
-
-  // Division points: profile on the most loaded rank like the forward does.
-  int busiest = 0;
-  for (int r = 1; r < world; ++r) {
-    if (plan.ForRank(r).TotalRows() > plan.ForRank(busiest).TotalRows()) {
-      busiest = r;
-    }
-  }
-  AdaptiveAssigner assigner;
-  auto pick_nc = [&](MoePipelineStage stage) {
-    if (base.vertical_fusion) {
-      return 0;
-    }
-    if (!options.adaptive) {
-      return std::min(options.fixed_comm_blocks, base.total_blocks - 1);
-    }
-    return assigner.SelectCommBlocks(stage, plan, busiest, costs, base,
-                                     options.profile_cache);
-  };
-  const int nc_a = pick_nc(MoePipelineStage::kLayer0);
-  const int nc_b = pick_nc(MoePipelineStage::kLayer1);
+  const FusedKernelConfig base = FusedConfigFor(options, cluster.gpu.num_sms);
+  const DivisionPoints nc = PickDivisionPoints(
+      options, AdaptiveAssigner(), plan, costs, base, options.profile_cache);
 
   const double ag_us = DoutAllGatherUs(workload, costs);
 
@@ -452,9 +371,9 @@ BackwardExecution CometBackward(const MoeWorkload& workload,
         const int r = static_cast<int>(ri);
         RankSim& sim = sims[static_cast<size_t>(r)];
         FusedKernelConfig config_a = base;
-        config_a.comm_blocks = nc_a;
+        config_a.comm_blocks = nc.nc0;
         FusedKernelConfig config_b = base;
-        config_b.comm_blocks = nc_b;
+        config_b.comm_blocks = nc.nc1;
 
         // Kernel A mirrors forward layer0 (same row width N, same GEMM
         // output width K/TP); kernel B mirrors forward layer1.
@@ -462,7 +381,7 @@ BackwardExecution CometBackward(const MoeWorkload& workload,
         sim.kb = SimulateLayer1Fused(plan, r, costs, config_b);
 
         const std::vector<int64_t> depths = RowDepths(plan.ForRank(r));
-        const int np_b = base.total_blocks - (base.vertical_fusion ? 0 : nc_b);
+        const int np_b = base.total_blocks - (base.vertical_fusion ? 0 : nc.nc1);
         sim.wgrad1 =
             WgradTimeUs(costs, hidden, n_embed, depths, base.total_blocks);
         sim.wgrad0 = WgradTimeUs(costs, n_embed, hidden, depths, np_b);
@@ -482,33 +401,36 @@ BackwardExecution CometBackward(const MoeWorkload& workload,
       });
 
   out.per_rank_us.assign(static_cast<size_t>(world), 0.0);
+  int worst_rank = 0;
   double worst = -1.0;
   for (int r = 0; r < world; ++r) {
-    const RankSim& sim = sims[static_cast<size_t>(r)];
-    out.per_rank_us[static_cast<size_t>(r)] = sim.total;
-    if (sim.total > worst) {
-      worst = sim.total;
-      const double launches = 3.0 * costs.LaunchUs();
-      Timeline tl;
-      double t = 0.0;
-      tl.Add("launch", OpCategory::kHost, -1, t, t + launches);
-      t += launches;
-      if (ag_us > 0.0) {
-        tl.Add("dout-allgather", OpCategory::kLayer1Comm, 1, t, t + ag_us);
-        t += ag_us;
-      }
-      tl.Merge(sim.ka.timeline, t);
-      t += sim.ka.duration_us;
-      tl.Add("act-bwd", OpCategory::kActivation, 0, t, t + sim.act);
-      t += sim.act;
-      tl.Add("wgrad1", OpCategory::kLayer1Comp, 0, t, t + sim.wgrad1);
-      t += sim.wgrad1;
-      tl.Merge(sim.kb.timeline, t);
-      tl.Add("wgrad0", OpCategory::kLayer0Comp, 0, t + sim.kb.compute_makespan_us,
-             t + sim.kb.compute_makespan_us + sim.wgrad0);
-      out.timeline = std::move(tl);
+    const double total = sims[static_cast<size_t>(r)].total;
+    out.per_rank_us[static_cast<size_t>(r)] = total;
+    if (total > worst) {
+      worst = total;
+      worst_rank = r;
     }
   }
+  // The critical rank's timeline: launches, dout all-gather, kernel A,
+  // activation backward, wgrad1, kernel B with wgrad0 on its compute blocks.
+  const RankSim& sim = sims[static_cast<size_t>(worst_rank)];
+  Timeline& tl = out.timeline;
+  double t = 0.0;
+  tl.Add("launch", OpCategory::kHost, -1, t, t + 3.0 * costs.LaunchUs());
+  t += 3.0 * costs.LaunchUs();
+  if (ag_us > 0.0) {
+    tl.Add("dout-allgather", OpCategory::kLayer1Comm, 1, t, t + ag_us);
+    t += ag_us;
+  }
+  tl.Merge(sim.ka.timeline, t);
+  t += sim.ka.duration_us;
+  tl.Add("act-bwd", OpCategory::kActivation, 0, t, t + sim.act);
+  t += sim.act;
+  tl.Add("wgrad1", OpCategory::kLayer1Comp, 0, t, t + sim.wgrad1);
+  t += sim.wgrad1;
+  tl.Merge(sim.kb.timeline, t);
+  tl.Add("wgrad0", OpCategory::kLayer0Comp, 0, t + sim.kb.compute_makespan_us,
+         t + sim.kb.compute_makespan_us + sim.wgrad0);
   out.duration_us = worst;
 
   if (mode == ExecMode::kFunctional) {

@@ -5,9 +5,9 @@
 #include <string>
 
 #include "comm/symmetric_heap.h"
+#include "core/comet_stages.h"
 #include "core/fused_kernel.h"
 #include "core/reschedule.h"
-#include "core/shared_tensor.h"
 #include "moe/group_gemm.h"
 #include "runtime/rank_group.h"
 #include "util/check.h"
@@ -17,15 +17,6 @@ namespace comet {
 namespace {
 
 int64_t CeilDiv(int64_t a, int64_t b) { return (a + b - 1) / b; }
-
-// Thread-local combine row buffer (the f32 staging row the canonical
-// combine reduction reads contributions into). File-scope accessor so
-// PrepareServing can warm it on every pool worker and rank thread before a
-// zero-allocation window opens.
-std::vector<float>& CombineRowBuf() {
-  thread_local std::vector<float> buf;
-  return buf;
-}
 
 }  // namespace
 
@@ -99,6 +90,14 @@ CometExecutor::CometExecutor(CometOptions options)
   COMET_CHECK_GE(options_.fixed_comm_blocks, 0);
   COMET_CHECK_GT(options_.signal_wait_timeout_ms, 0);
   COMET_CHECK_GE(options_.max_replicated_experts, 0);
+  // The dependency analysis the schedules rely on: layer0 decomposes along
+  // M in arrival order, layer1 along N panel-major (paper §3.1). It does not
+  // depend on the shape, so it runs once here -- a future operator change
+  // trips loudly, and the serving path never builds the IR's graphs.
+  CheckOverlapPipeline(MoeLayer0Graph(1, 1, 1), DecomposeDim::kM,
+                       RescheduleHint::kArrivalOrder);
+  CheckOverlapPipeline(MoeLayer1Graph(1, 1, 1), DecomposeDim::kN,
+                       RescheduleHint::kPanelMajor);
 }
 
 CometExecutor::~CometExecutor() = default;
@@ -141,17 +140,6 @@ LayerExecution CometExecutor::Run(const MoeWorkload& workload,
   // Gemm/activation wrappers called indirectly -- so num_threads = 1 really
   // is the old serial behavior end to end.
   ScopedThreadLimit thread_limit(options_.num_threads);
-  // Sanity-check the dependency analysis: layer0 decomposes along M,
-  // layer1 along N (paper §3.1.1). This is the analysis the schedules below
-  // rely on; run it so a future operator change trips loudly.
-  const int64_t shared_rows =
-      workload.placement.total_tokens() * workload.model().topk;
-  COMET_CHECK(ResolveDecomposition(Layer0SharedTensor(
-                  shared_rows, workload.model().embedding)) ==
-              DecomposeDim::kM);
-  COMET_CHECK(ResolveDecomposition(Layer1SharedTensor(
-                  shared_rows, workload.model().embedding)) ==
-              DecomposeDim::kN);
 
   LayerExecution out;
   out.executor = name();
@@ -262,7 +250,7 @@ void CometExecutor::PrepareServing(const Placement& max_placement,
     // Wire scratch covers undispatch rows (n_embed) and replica-slab weight
     // rows (up to hidden), so warm at the wider bound.
     WarmHeapWireScratch(max_gemm_k);
-    CombineRowBuf().reserve(static_cast<size_t>(n_embed));
+    WarmCombineScratch(n_embed);
   };
   GlobalThreadPool().ForEachWorker(warm);
   warm(0);  // the calling thread executes chunk 0 of every region
@@ -301,12 +289,7 @@ void CometExecutor::RunTimedInto(const MoeWorkload& workload,
   const RoutePlan& plan = workload.plan;
   const int world = placement.world();
 
-  FusedKernelConfig base;
-  base.total_blocks = cluster.gpu.num_sms;
-  base.tile_m = options_.tile_m;
-  base.tile_n = options_.tile_n;
-  base.reschedule = options_.reschedule;
-  base.vertical_fusion = !options_.specialized;
+  const FusedKernelConfig base = FusedConfigFor(options_, cluster.gpu.num_sms);
 
   // Division points. The serving memo short-circuits the MetadataStore
   // round-trip (whose key is cluster | model | M | TP | EP | stage -- all
@@ -328,39 +311,10 @@ void CometExecutor::RunTimedInto(const MoeWorkload& workload,
     last_nc0_ = memo_hit->nc0;
     last_nc1_ = memo_hit->nc1;
   } else {
-    if (nc_memo != nullptr) {
-      // First sight of this batch size: re-run the decomposition sanity
-      // check Run performs on every call (warm-up only here).
-      const int64_t shared_rows =
-          placement.total_tokens() * placement.model().topk;
-      COMET_CHECK(ResolveDecomposition(Layer0SharedTensor(
-                      shared_rows, placement.model().embedding)) ==
-                  DecomposeDim::kM);
-      COMET_CHECK(ResolveDecomposition(Layer1SharedTensor(
-                      shared_rows, placement.model().embedding)) ==
-                  DecomposeDim::kN);
-    }
-    // Profile on the most loaded rank (the one that sets the makespan) and
-    // use one division point everywhere, as the paper's pre-compiled kernel
-    // selection does.
-    int busiest = 0;
-    for (int r = 1; r < world; ++r) {
-      if (plan.ForRank(r).TotalRows() > plan.ForRank(busiest).TotalRows()) {
-        busiest = r;
-      }
-    }
-    const auto pick_nc = [&](MoePipelineStage stage) {
-      if (base.vertical_fusion) {
-        return 0;
-      }
-      if (!options_.adaptive) {
-        return std::min(options_.fixed_comm_blocks, base.total_blocks - 1);
-      }
-      return assigner_.SelectCommBlocks(stage, plan, busiest, costs, base,
-                                        cache);
-    };
-    last_nc0_ = pick_nc(MoePipelineStage::kLayer0);
-    last_nc1_ = pick_nc(MoePipelineStage::kLayer1);
+    const DivisionPoints points =
+        PickDivisionPoints(options_, assigner_, plan, costs, base, cache);
+    last_nc0_ = points.nc0;
+    last_nc1_ = points.nc1;
     if (nc_memo != nullptr) {
       nc_memo->push_back(
           NcMemoEntry{placement.total_tokens(), last_nc0_, last_nc1_});
@@ -492,7 +446,6 @@ void CometExecutor::RunFunctionalInto(const MoeWorkload& workload,
   const RoutePlan& plan = workload.plan;
   const ModelConfig& model = placement.model();
   const int world = placement.world();
-  const int tp = placement.parallel().tp;
   const int ep = placement.parallel().ep;
   const int64_t n_embed = model.embedding;
   const int64_t hidden = placement.HiddenPerTpRank();
@@ -657,91 +610,24 @@ void CometExecutor::RunFunctionalInto(const MoeWorkload& workload,
                                           tile.col_end});
         });
 
-    // Top-k undispatch: every partial output row returns (lane-matched) to
-    // the token's home group, unweighted; weights are applied at the
-    // canonical combine below. Each (token, slot) pair owns its destination
-    // row and signal word, so the scatter parallelizes per row.
+    // Top-k undispatch: partial output rows return home unweighted; the
+    // combine applies the route weights.
     for (size_t le = 0; le < n_experts; ++le) {
-      const auto& slice = rank_plan.experts[le];
-      const auto& order = schedule0.row_order[le];
-      ParallelFor(
-          0, static_cast<int64_t>(order.size()), 8,
-          [&](int64_t pos) {
-            const ExpertRow& row =
-                slice.rows[static_cast<size_t>(order[static_cast<size_t>(pos)])];
-            const int dst = placement.RankOf(row.source_group, lane);
-            const int64_t dst_row =
-                (row.token - placement.FirstTokenOfGroup(row.source_group)) *
-                    topk +
-                row.slot;
-            heap.PutRowWithSignal(contrib_buf, r, dst, dst_row,
-                                  rs.y_out[le].row(pos), contrib_sig, dst_row);
-          });
+      UndispatchSlice(heap, contrib_buf, contrib_sig, placement, r,
+                      rank_plan.experts[le], schedule0.row_order[le],
+                      rs.y_out[le]);
     }
   };
 
   // --- combine: canonical reduction (slot-major, TP-lane inner) on lane 0 ---
-  //
-  // The consume stage of each group's lane-0 rank. It first blocks on the
-  // arrival signal of every expected contribution (the NVSHMEM wait_until
-  // loop of the real combine kernel -- in concurrent mode producers on peer
-  // threads are still streaming rows in), then reduces. The reduction order
-  // is a pure function of (token, slot, lane), never of arrival order, so
-  // serial, concurrent and any-thread-count runs are bit-identical.
   out.outputs.resize(static_cast<size_t>(ep));
-  const auto consume = [&](int r) {
-    if (placement.TpLaneOfRank(r) != 0) {
-      return;
-    }
-    const int g = placement.EpGroupOfRank(r);
-    const int reader = r;
-    const int64_t first = placement.FirstTokenOfGroup(g);
-    // Wait for delivery. Blocking waits stay on this rank's dedicated
-    // thread -- they must never ride pool workers, or spinning consumers
-    // could starve the producers' tile chunks out of the pool.
-    for (int64_t t = 0; t < group_tokens; ++t) {
-      const TokenRoute& route =
-          workload.routing.tokens[static_cast<size_t>(first + t)];
-      const int64_t slots = static_cast<int64_t>(route.experts.size());
-      for (int64_t k = 0; k < slots; ++k) {
-        for (int l = 0; l < tp; ++l) {
-          heap.WaitUntilSignalGe(contrib_sig, placement.RankOf(g, l),
-                                 t * topk + k, 1,
-                                 options_.signal_wait_timeout_ms);
-        }
-      }
-    }
-    Tensor& result = out.outputs[static_cast<size_t>(g)];
+  for (Tensor& result : out.outputs) {
     result.ResetFormat2D(group_tokens, n_embed, dtype);
-    // Tokens reduce independently (one output row each); the slot-major,
-    // TP-lane-inner order within a token is preserved inside the body.
-    ParallelFor(
-        0, group_tokens, 4,
-        [&](int64_t t) {
-          std::vector<float>& row_buf = CombineRowBuf();
-          row_buf.resize(static_cast<size_t>(n_embed));
-          // Accumulation starts from an explicitly zeroed row (the workspace
-          // tensor carries the previous batch's bits).
-          result.FillZeroRows(t, t + 1);
-          const TokenRoute& route =
-              workload.routing.tokens[static_cast<size_t>(first + t)];
-          // Routes may carry fewer than topk entries (capacity-dropped
-          // pairs); only written slots are consumed.
-          const int64_t slots = static_cast<int64_t>(route.experts.size());
-          for (int64_t k = 0; k < slots; ++k) {
-            for (int l = 0; l < tp; ++l) {
-              heap.WaitSignalGe(contrib_sig, placement.RankOf(g, l),
-                                t * topk + k, 1);
-              heap.CopyRow(contrib_buf, reader, placement.RankOf(g, l),
-                           t * topk + k, row_buf);
-              result.AccumulateRow(t, row_buf,
-                                   route.weights[static_cast<size_t>(k)]);
-            }
-          }
-          // f32 accumulation above, one rounding on store -- mirrors the
-          // sharded reference's per-row output rounding exactly.
-          result.QuantizeRow(t);
-        });
+  }
+  const auto consume = [&](int r) {
+    CombineGroup(heap, contrib_buf, contrib_sig, placement, workload.routing,
+                 r, /*weighted=*/true, dtype, options_.signal_wait_timeout_ms,
+                 out.outputs);
   };
 
   // Configure resolves concurrency against the ambient thread limit; with an

@@ -29,6 +29,16 @@ const TensorUse& FindRead(const PipelineOp& op, const std::string& tensor) {
 
 }  // namespace
 
+std::string DecomposeDimName(DecomposeDim dim) {
+  switch (dim) {
+    case DecomposeDim::kM:
+      return "M";
+    case DecomposeDim::kN:
+      return "N";
+  }
+  return "?";
+}
+
 std::string AxisRoleName(AxisRole role) {
   switch (role) {
     case AxisRole::kParallel:

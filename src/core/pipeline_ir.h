@@ -23,9 +23,15 @@
 #include <string>
 #include <vector>
 
-#include "core/shared_tensor.h"
-
 namespace comet {
+
+// The two axes a shared tensor can be decomposed along.
+enum class DecomposeDim {
+  kM,  // rows (token dimension)
+  kN,  // columns (embedding / hidden dimension)
+};
+
+std::string DecomposeDimName(DecomposeDim dim);
 
 // How an operator relates the elements of one tensor axis.
 enum class AxisRole {

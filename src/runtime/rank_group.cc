@@ -37,12 +37,10 @@ void RankGroup::Configure(int num_ranks, RankGroupOptions options) {
   }
   const bool concurrent = num_ranks > 1 && n > 1;
   if (num_ranks == num_ranks_ && concurrent == concurrent_) {
-    options_ = options;  // barrier flag may change without a thread reshape
     return;
   }
   Shutdown();
   num_ranks_ = num_ranks;
-  options_ = options;
   concurrent_ = concurrent;
   errors_.assign(static_cast<size_t>(num_ranks_), nullptr);
   if (concurrent_) {
@@ -69,16 +67,6 @@ void RankGroup::RankBody(int r, FunctionRef<void(int)> produce,
     produce(r);
   } catch (...) {
     errors_[static_cast<size_t>(r)] = std::current_exception();
-  }
-  if (options_.phase_barrier) {
-    // A failed producer still arrives, so peers are never left waiting on
-    // the barrier (their data-level failure surfaces in consume instead).
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (++arrived_ == num_ranks_) {
-      barrier_cv_.notify_all();
-    } else {
-      barrier_cv_.wait(lock, [&] { return arrived_ == num_ranks_; });
-    }
   }
   if (consume && errors_[static_cast<size_t>(r)] == nullptr) {
     try {
@@ -142,7 +130,6 @@ void RankGroup::Run(FunctionRef<void(int)> produce,
     consume_ = consume;
     run_limit_ = inherited_limit;
     done_ = 0;
-    arrived_ = 0;
     for (auto& err : errors_) {
       err = nullptr;
     }

@@ -63,12 +63,6 @@ struct RankGroupOptions {
   // is active, else the global pool size); 1 = serial phased execution;
   // >= 2 = concurrent, one dedicated thread per rank.
   int num_threads = 0;
-  // Insert a full barrier between the produce and consume phases. The COMET
-  // path gates consumption on per-row signals and runs barrier-free; the
-  // canonical/baseline paths exchange rows through plain tensors with no
-  // signals, which is faithful to what they model -- kernel-per-op systems
-  // separate communication and computation with exactly such a barrier.
-  bool phase_barrier = false;
 };
 
 // Not thread-safe: one Run at a time.
@@ -112,16 +106,13 @@ class RankGroup {
   void Shutdown();
 
   int num_ranks_ = 0;
-  RankGroupOptions options_;
   bool concurrent_ = false;
 
   std::mutex mutex_;
   std::condition_variable start_cv_;
   std::condition_variable done_cv_;
-  std::condition_variable barrier_cv_;
   uint64_t generation_ = 0;
   int done_ = 0;
-  int arrived_ = 0;
   bool shutdown_ = false;
   int run_limit_ = 0;
   FunctionRef<void(int)> produce_;

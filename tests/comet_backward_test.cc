@@ -64,6 +64,35 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair<int, int>{2, 2}, std::pair<int, int>{4, 2},
                       std::pair<int, int>{2, 4}));
 
+// Capacity-dropped routes (fewer than topk entries): the undispatch combine
+// consumes only written slots, at any EP width and thread count.
+class CometBackwardDroppedRoutesTest
+    : public ::testing::TestWithParam<std::pair<int, int>> {};
+
+TEST_P(CometBackwardDroppedRoutesTest, BitExactVsShardedReference) {
+  const auto [ep, threads] = GetParam();
+  MoeWorkload w = SmallWorkload(1, ep, 32);
+  const DropStats stats =
+      ApplyCapacityFactor(w.routing, w.model().num_experts, 0.8);
+  ASSERT_GT(stats.dropped_pairs, 0);
+  w.plan = RoutePlan(w.placement, w.routing);
+  const auto dout = MakeLossGradient(w, 37);
+  const MoeGradients expected = ShardedReferenceMoeBackward(w, dout);
+  CometOptions options;
+  options.tile_m = 8;
+  options.tile_n = 8;
+  options.num_threads = threads;
+  const BackwardExecution run = CometBackward(
+      w, H800Cluster(w.world()), dout, ExecMode::kFunctional, options);
+  EXPECT_EQ(MaxGradientDiff(expected, run.grads), 0.0f)
+      << "ep=" << ep << " threads=" << threads;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EpByThreads, CometBackwardDroppedRoutesTest,
+    ::testing::Values(std::pair<int, int>{2, 1}, std::pair<int, int>{2, 8},
+                      std::pair<int, int>{4, 1}, std::pair<int, int>{4, 8}));
+
 TEST(CometBackward, RescheduleOffAlsoBitExact) {
   const MoeWorkload w = SmallWorkload(2, 2, 24);
   const auto dout = MakeLossGradient(w, 29);

@@ -9,6 +9,11 @@
 namespace comet {
 namespace {
 
+TEST(PipelineIr, DimNames) {
+  EXPECT_EQ(DecomposeDimName(DecomposeDim::kM), "M");
+  EXPECT_EQ(DecomposeDimName(DecomposeDim::kN), "N");
+}
+
 // ---- canonical MoE graphs -----------------------------------------------------
 
 TEST(PipelineIr, Layer0DecomposesAlongMWithArrivalOrder) {

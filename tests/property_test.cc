@@ -4,7 +4,6 @@
 
 #include <tuple>
 
-#include "baselines/common.h"
 #include "baselines/fastermoe.h"
 #include "baselines/megatron.h"
 #include "baselines/tutel.h"
@@ -76,8 +75,8 @@ INSTANTIATE_TEST_SUITE_P(
         ExactnessParam{4, 2, 2, 0.05, false}));
 
 // =======================================================================
-// Property: the baselines' canonical functional path equals the reference
-// for every parallelism.
+// Property: a baseline's functional plane equals the reference for every
+// parallelism.
 // =======================================================================
 
 using CanonicalParam = std::tuple<int, int, int64_t>;
@@ -98,7 +97,10 @@ TEST_P(CanonicalExactness, MatchesShardedReference) {
   options.load_std = 0.02;
   const MoeWorkload w =
       MakeWorkload(model, ParallelConfig{tp, ep}, 48, options);
-  const auto canonical = CanonicalFunctionalMoe(w);
+  const auto canonical =
+      MakeMegatronCutlass()
+          .Run(w, H800Cluster(tp * ep), ExecMode::kFunctional)
+          .outputs;
   const auto reference = ShardedReferenceMoeLayer(w);
   ASSERT_EQ(canonical.size(), reference.size());
   for (size_t g = 0; g < canonical.size(); ++g) {

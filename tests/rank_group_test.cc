@@ -21,7 +21,7 @@
 #include <tuple>
 #include <vector>
 
-#include "baselines/common.h"
+#include "baselines/megatron.h"
 #include "comm/symmetric_heap.h"
 #include "core/comet_backward.h"
 #include "core/comet_executor.h"
@@ -80,26 +80,6 @@ TEST(RankGroup, ConcurrentModeOverlapsRanks) {
     }
   });
   EXPECT_TRUE(all_overlapped.load());
-}
-
-TEST(RankGroup, PhaseBarrierSeparatesProduceFromConsume) {
-  constexpr int kRanks = 4;
-  RankGroup group(
-      kRanks, RankGroupOptions{.num_threads = kRanks, .phase_barrier = true});
-  std::atomic<int> produced{0};
-  std::atomic<bool> consume_saw_all{true};
-  group.Run(
-      [&](int r) {
-        // Stagger the producers so an unordered overlap would be caught.
-        std::this_thread::sleep_for(std::chrono::milliseconds(2 * r));
-        produced++;
-      },
-      [&](int) {
-        if (produced.load() != kRanks) {
-          consume_saw_all = false;
-        }
-      });
-  EXPECT_TRUE(consume_saw_all.load());
 }
 
 TEST(RankGroup, ProduceExceptionPropagatesAndSkipsItsConsume) {
@@ -431,8 +411,8 @@ TEST(RankGroupDeterminismHybrid, Ep4ConcurrentBitIdenticalToEp1Reference) {
   }
 }
 
-// Capacity-dropped routes (fewer than topk entries) must flow through the
-// canonical RankGroup combine too: only written slots are consumed, never
+// Capacity-dropped routes (fewer than topk entries) must flow through a
+// baseline's functional plane too: only written slots are consumed, never
 // weights past the route's end.
 TEST(RankGroupDeterminismHybrid, CanonicalHandlesCapacityDroppedRoutes) {
   MoeWorkload w = RankGroupWorkload(1, 2, /*seed=*/41);
@@ -440,7 +420,10 @@ TEST(RankGroupDeterminismHybrid, CanonicalHandlesCapacityDroppedRoutes) {
       ApplyCapacityFactor(w.routing, w.model().num_experts, 0.8);
   ASSERT_GT(stats.dropped_pairs, 0);
   w.plan = RoutePlan(w.placement, w.routing);
-  const auto canonical = CanonicalFunctionalMoe(w);
+  const auto canonical =
+      MakeMegatronCutlass()
+          .Run(w, H800Cluster(2), ExecMode::kFunctional)
+          .outputs;
   const auto reference = ShardedReferenceMoeLayer(w);
   ASSERT_EQ(canonical.size(), reference.size());
   for (size_t g = 0; g < reference.size(); ++g) {
@@ -448,12 +431,15 @@ TEST(RankGroupDeterminismHybrid, CanonicalHandlesCapacityDroppedRoutes) {
   }
 }
 
-// And the EP=4 canonical baseline path (RankGroup with a phase barrier)
-// agrees with the same EP=1 reference.
+// And an EP=4 baseline's functional plane agrees with the same EP=1
+// reference.
 TEST(RankGroupDeterminismHybrid, CanonicalEp4MatchesEp1Reference) {
   const MoeWorkload w4 = RankGroupWorkload(1, 4, /*seed=*/78);
   const MoeWorkload w1 = RankGroupWorkload(1, 1, /*seed=*/78);
-  const auto canonical4 = CanonicalFunctionalMoe(w4);
+  const auto canonical4 =
+      MakeMegatronCutlass()
+          .Run(w4, H800Cluster(4), ExecMode::kFunctional)
+          .outputs;
   const auto reference1 = ShardedReferenceMoeLayer(w1);
   ASSERT_EQ(canonical4.size(), 4u);
   const int64_t group_tokens = w4.placement.tokens_per_group();
