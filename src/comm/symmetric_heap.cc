@@ -32,22 +32,7 @@ uint64_t HashMix(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-// Per-thread wire buffer for read-modify-write row ops; thread-local so
-// concurrent ranks share nothing.
-std::vector<float>& HeapWireScratch() {
-  thread_local std::vector<float> wire;
-  return wire;
-}
-
 }  // namespace
-
-void WarmHeapWireScratch(int64_t max_cols) {
-  COMET_CHECK_GE(max_cols, 0);
-  std::vector<float>& wire = HeapWireScratch();
-  if (wire.capacity() < static_cast<size_t>(max_cols)) {
-    wire.reserve(static_cast<size_t>(max_cols));
-  }
-}
 
 SymmetricHeap::SymmetricHeap(int world_size, HeapIntegrityOptions integrity)
     : world_size_(world_size),
@@ -279,34 +264,6 @@ void SymmetricHeap::CopyRow(SymmetricBufferId buf, int reader_rank,
   CopyThroughWire(view, dst, src.dtype());
 }
 
-void SymmetricHeap::AccumulateRow(SymmetricBufferId buf, int src_rank,
-                                  int dst_rank, int64_t dst_row,
-                                  std::span<const float> data, float weight) {
-  const Allocation& alloc = Get(buf);
-  CheckRank(alloc, src_rank, "AccumulateRow", "source");
-  Tensor& dst = DataLocal(alloc, dst_rank, "AccumulateRow");
-  CheckRowInRange(alloc.name, dst, dst_row, "AccumulateRow");
-  // Read-modify-write: verify the current contents before folding into them,
-  // re-checksum after (the injector does not target accumulates -- it models
-  // link corruption on puts; an accumulate still DETECTS a previously
-  // corrupted destination row).
-  VerifyRow(alloc, dst_rank, dst_row, "AccumulateRow");
-  // The payload crosses the wire at the buffer dtype like every other row
-  // op (an unrepresentable f32 payload must not leak extra bits into the
-  // destination); then f32 accumulate and round the updated row back on
-  // store -- the same contract as the GEMM epilogue (NVSHMEM atomics on a
-  // 2-byte buffer cannot hold wider partials either).
-  std::vector<float>& wire = HeapWireScratch();
-  wire.resize(data.size());
-  CopyThroughWire(data, wire, dst.dtype());
-  dst.AccumulateRow(dst_row, wire, weight);
-  dst.QuantizeRow(dst_row);
-  RecordRow(alloc, dst_rank, dst_row);
-  AccountTraffic(src_rank, dst_rank,
-                 static_cast<double>(data.size()) *
-                     static_cast<double>(DTypeSize(dst.dtype())));
-}
-
 SymmetricBufferId SymmetricHeap::AllocateSignals(const std::string& name,
                                                  int64_t count) {
   COMET_CHECK_GT(count, 0);
@@ -477,10 +434,6 @@ double SymmetricHeap::AllocatedBytesPerRank() const {
     }
   }
   return total;
-}
-
-const std::string& SymmetricHeap::BufferName(SymmetricBufferId buf) const {
-  return Get(buf).name;
 }
 
 }  // namespace comet

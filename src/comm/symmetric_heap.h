@@ -48,18 +48,12 @@ namespace comet {
 
 using SymmetricBufferId = int64_t;
 
-// Pre-sizes the CALLING thread's transport wire scratch (the read-modify-
-// write buffer AccumulateRow moves payloads through) for rows of up to
-// `max_cols` elements. Thread-local; the serving plane warms every worker
-// during PrepareServing so steady-state row ops never allocate.
-void WarmHeapWireScratch(int64_t max_cols);
-
 // Transport-integrity options, off by default (training and bench paths
 // trust the in-process heap; the serving plane turns verification on).
 //
-// With checksum_rows, every put/accumulate records an FNV-1a checksum of the
-// row it stored (post-wire-quantization bits), and every get/copy/accumulate
-// re-hashes the stored row and compares before handing the data out. A
+// With checksum_rows, every put records an FNV-1a checksum of the row it
+// stored (post-wire-quantization bits), and every get/copy re-hashes the
+// stored row and compares before handing the data out. A
 // mismatch throws CheckError naming the buffer, rank and row -- a corrupted
 // payload is always detected at its first consumer, never silently served.
 // Rows that were never put (bulk Local() initialization) carry no checksum
@@ -120,11 +114,6 @@ class SymmetricHeap {
   // safe (the tile/row partitions of the executors guarantee disjointness).
   void CopyRow(SymmetricBufferId buf, int reader_rank, int owner_rank,
                int64_t row, std::span<float> dst);
-
-  // Atomic-add style accumulation into a remote row (used by combine paths).
-  void AccumulateRow(SymmetricBufferId buf, int src_rank, int dst_rank,
-                     int64_t dst_row, std::span<const float> data,
-                     float weight);
 
   // ---- signaling (NVSHMEM put-with-signal / wait-until) ---------------------
   //
@@ -204,7 +193,6 @@ class SymmetricHeap {
   double AllocatedBytesPerRank() const;
 
   size_t num_buffers() const { return buffers_.size(); }
-  const std::string& BufferName(SymmetricBufferId buf) const;
 
  private:
   struct Allocation {

@@ -243,13 +243,10 @@ void CometExecutor::PrepareServing(const Placement& max_placement,
   // ---- warm thread-local scratch on every thread that can touch it ----------
   // Pool workers run GEMM tiles and row gathers; rank threads additionally
   // run them inline (nested regions execute on the caller) and stage combine
-  // rows. Warm all three TLS buffers everywhere.
+  // rows. Warm both TLS buffers everywhere.
   const int64_t max_gemm_k = std::max(n_embed, hidden);
   const auto warm = [&](int) {
     WarmGemmScratch(max_gemm_k);
-    // Wire scratch covers undispatch rows (n_embed) and replica-slab weight
-    // rows (up to hidden), so warm at the wider bound.
-    WarmHeapWireScratch(max_gemm_k);
     WarmCombineScratch(n_embed);
   };
   GlobalThreadPool().ForEachWorker(warm);
@@ -268,12 +265,9 @@ void CometExecutor::RunBatchInto(const MoeWorkload& workload,
   COMET_CHECK_EQ(cluster.world_size, workload.world())
       << "cluster and workload world sizes disagree";
   ScopedThreadLimit thread_limit(options_.num_threads);
-  MetadataStore* cache = options_.profile_cache != nullptr
-                             ? options_.profile_cache
-                             : &batch_profile_cache_;
   out->executor = name();
-  RunTimedInto(workload, cluster, *out, cache, serving_->timed,
-               &serving_->nc_memo);
+  RunTimedInto(workload, cluster, *out, options_.profile_cache,
+               serving_->timed, &serving_->nc_memo);
   if (mode == ExecMode::kFunctional) {
     RunFunctionalInto(workload, *out, serving_->fn);
   }
@@ -291,9 +285,9 @@ void CometExecutor::RunTimedInto(const MoeWorkload& workload,
 
   const FusedKernelConfig base = FusedConfigFor(options_, cluster.gpu.num_sms);
 
-  // Division points. The serving memo short-circuits the MetadataStore
-  // round-trip (whose key is cluster | model | M | TP | EP | stage -- all
-  // fixed for one serving executor except M) with a flat lookup on M.
+  // Division points. The serving memo is a flat lookup on M, the only part
+  // of the profile key (cluster | model | M | TP | EP | stage) that varies
+  // for one serving executor; a miss runs the sweep.
   const NcMemoEntry* memo_hit = nullptr;
   if (nc_memo != nullptr) {
     for (const NcMemoEntry& e : *nc_memo) {
@@ -700,10 +694,13 @@ void CometExecutor::RetireReplica(int slot) {
 }
 
 void CometExecutor::InvalidateBatchProfiles() {
-  batch_profile_cache_.Clear();
   if (serving_ != nullptr) {
     serving_->nc_memo.clear();
   }
+}
+
+size_t CometExecutor::batch_profile_entries() const {
+  return serving_ != nullptr ? serving_->nc_memo.size() : 0;
 }
 
 }  // namespace comet

@@ -96,14 +96,13 @@ class CometExecutor : public MoeLayerExecutor {
   // scratch of every pool worker and rank thread; RunBatchInto then executes
   // one batch into a caller-persistent LayerExecution, reusing all of it.
   // Results are bit-identical to Run for the same inputs. Adaptive
-  // division-point profiles are cached in an executor-owned MetadataStore
-  // keyed by AdaptiveAssigner::ProfileKey (cluster | model | M | TP | EP |
-  // stage): a continuous batcher re-runs the same few batch shapes, and
-  // re-sweeping the candidate grid every iteration is the host-side
-  // overhead the paper's §5.3 decode regime is dominated by. When
-  // options.profile_cache is set it is used instead (shared across
-  // executors / persisted runs). Not thread-safe: one serving loop per
-  // executor.
+  // division points are memoized per batch token count M: a continuous
+  // batcher re-runs the same few batch shapes, and re-sweeping the candidate
+  // grid every iteration is the host-side overhead the paper's §5.3 decode
+  // regime is dominated by. M is the only part of the profile key (cluster |
+  // model | M | TP | EP | stage) that varies for one serving executor. A
+  // memo miss consults options.profile_cache when it is set. Not
+  // thread-safe: one serving loop per executor.
 
   // Preallocates serving workspaces for batches up to `max_placement`'s
   // token count (its model/parallel shape must match the batches served).
@@ -142,11 +141,11 @@ class CometExecutor : public MoeLayerExecutor {
   // Frees replica slot `slot`. Slab bits stay (inactive slices have no rows,
   // so they are never read) until the next promote overwrites them.
   void RetireReplica(int slot);
-  // Drops every cached division-point profile (the per-M serving memo and
-  // the executor-owned profile store). The adaptation loop calls this when
-  // the replica layout changes: ProfileKey does not encode replicas, so
-  // cached division points no longer describe the plan being priced. The
-  // next iteration per batch size re-profiles against the current layout.
+  // Drops every memoized division point (the per-M serving memo). The
+  // adaptation loop calls this when the replica layout changes: ProfileKey
+  // does not encode replicas, so cached division points no longer describe
+  // the plan being priced. The next iteration per batch size re-profiles
+  // against the current layout.
   void InvalidateBatchProfiles();
 
   // Re-arms the transport-integrity knobs between iterations (the serving
@@ -163,8 +162,8 @@ class CometExecutor : public MoeLayerExecutor {
   // Division points chosen for the last Run (diagnostics / tests).
   int last_layer0_comm_blocks() const { return last_nc0_; }
   int last_layer1_comm_blocks() const { return last_nc1_; }
-  // Entries in the executor-owned serving profile cache (diagnostics).
-  size_t batch_profile_entries() const { return batch_profile_cache_.size(); }
+  // Batch token counts in the serving division-point memo (diagnostics).
+  size_t batch_profile_entries() const;
 
   // Serving profile-memo traffic: how often RunBatchInto found its division
   // points already tuned for the batch's token count vs. ran the candidate
@@ -183,8 +182,7 @@ class CometExecutor : public MoeLayerExecutor {
   ServingHeapStats serving_heap_stats() const;
 
  private:
-  // Cached division points for one batch token count (serving fast path;
-  // bit-identical to re-consulting the MetadataStore, minus the string key).
+  // Memoized division points for one batch token count (serving fast path).
   struct NcMemoEntry {
     int64_t total_tokens = 0;
     int nc0 = 0;
@@ -204,7 +202,6 @@ class CometExecutor : public MoeLayerExecutor {
 
   CometOptions options_;
   AdaptiveAssigner assigner_;
-  MetadataStore batch_profile_cache_;
   int last_nc0_ = 0;
   int last_nc1_ = 0;
   uint64_t profile_memo_hits_ = 0;

@@ -39,20 +39,6 @@ std::string DecomposeDimName(DecomposeDim dim) {
   return "?";
 }
 
-std::string AxisRoleName(AxisRole role) {
-  switch (role) {
-    case AxisRole::kParallel:
-      return "parallel";
-    case AxisRole::kReduce:
-      return "reduce";
-    case AxisRole::kGather:
-      return "gather";
-    case AxisRole::kBroadcast:
-      return "broadcast";
-  }
-  return "?";
-}
-
 std::string RescheduleHintName(RescheduleHint hint) {
   switch (hint) {
     case RescheduleHint::kArrivalOrder:
@@ -83,16 +69,6 @@ PipelineGraph& PipelineGraph::AddOp(PipelineOp op) {
 bool PipelineGraph::HasTensor(const std::string& name) const {
   return std::any_of(tensors_.begin(), tensors_.end(),
                      [&](const TensorDecl& t) { return t.name == name; });
-}
-
-const TensorDecl& PipelineGraph::Tensor(const std::string& name) const {
-  for (const TensorDecl& t : tensors_) {
-    if (t.name == name) {
-      return t;
-    }
-  }
-  COMET_CHECK(false) << "unknown tensor " << name;
-  return tensors_.front();  // unreachable
 }
 
 const PipelineOp* PipelineGraph::Producer(const std::string& tensor) const {

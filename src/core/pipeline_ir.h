@@ -41,8 +41,6 @@ enum class AxisRole {
   kBroadcast,  // every output element reads the whole axis
 };
 
-std::string AxisRoleName(AxisRole role);
-
 // Whether an op is compute (GEMM, activation, reduce) or communication
 // (dispatch, all-to-all, reduce-scatter). Overlappable pipelines are the
 // edges where this domain changes.
@@ -82,7 +80,6 @@ class PipelineGraph {
   const std::vector<PipelineOp>& ops() const { return ops_; }
 
   bool HasTensor(const std::string& name) const;
-  const TensorDecl& Tensor(const std::string& name) const;
 
   // Producing op of `tensor` (nullptr for graph inputs).
   const PipelineOp* Producer(const std::string& tensor) const;

@@ -5,17 +5,6 @@
 
 namespace comet {
 
-std::string LinkTypeName(LinkType type) {
-  switch (type) {
-    case LinkType::kNvLink:
-      return "NVLink";
-    case LinkType::kPcie:
-      return "PCIe";
-  }
-  COMET_CHECK(false) << "unknown link type";
-  return "";
-}
-
 double GpuSpec::FlopsPerUsPerSm() const {
   COMET_CHECK_GT(num_sms, 0);
   return peak_flops_per_us / static_cast<double>(num_sms);
@@ -45,10 +34,6 @@ int ClusterSpec::NodeOfRank(int rank) const {
 
 bool ClusterSpec::SameNode(int a, int b) const {
   return NodeOfRank(a) == NodeOfRank(b);
-}
-
-const LinkSpec& ClusterSpec::LinkBetween(int a, int b) const {
-  return (IsMultiNode() && !SameNode(a, b)) ? inter_link : link;
 }
 
 ClusterSpec H800Cluster(int world_size) {

@@ -18,8 +18,6 @@ enum class LinkType {
   kPcie,
 };
 
-std::string LinkTypeName(LinkType type);
-
 // Point-to-point interconnect between two GPUs in a node.
 struct LinkSpec {
   LinkType type = LinkType::kNvLink;
@@ -92,8 +90,6 @@ struct ClusterSpec {
   int NumNodes() const;
   int NodeOfRank(int rank) const;
   bool SameNode(int a, int b) const;
-  // The link traffic between ranks `a` and `b` travels over.
-  const LinkSpec& LinkBetween(int a, int b) const;
 };
 
 // Presets calibrated to the paper's testbeds.

@@ -6,13 +6,6 @@
 
 namespace comet {
 
-std::string ModelConfig::ToString() const {
-  std::ostringstream os;
-  os << name << "(L=" << layers << ", E=" << num_experts << ", topk=" << topk
-     << ", N=" << embedding << ", K=" << ffn_hidden << ")";
-  return os.str();
-}
-
 ModelConfig Mixtral8x7B() {
   return ModelConfig{"Mixtral-8x7B", 32, 8, 2, 4096, 14336, 32};
 }
@@ -89,22 +82,8 @@ int Placement::EpGroupOfExpert(int64_t expert) const {
   return static_cast<int>(expert / ExpertsPerGroup());
 }
 
-int Placement::FirstRankOfExpert(int64_t expert) const {
-  return EpGroupOfExpert(expert) * parallel_.tp;
-}
-
-bool Placement::RankOwnsExpert(int rank, int64_t expert) const {
-  return EpGroupOfRank(rank) == EpGroupOfExpert(expert);
-}
-
 int64_t Placement::LocalExpertIndex(int64_t expert) const {
   return expert % ExpertsPerGroup();
-}
-
-int64_t Placement::GlobalExpertIndex(int rank, int64_t local) const {
-  COMET_CHECK_GE(local, 0);
-  COMET_CHECK_LT(local, ExpertsPerGroup());
-  return static_cast<int64_t>(EpGroupOfRank(rank)) * ExpertsPerGroup() + local;
 }
 
 int64_t Placement::HiddenPerTpRank() const {

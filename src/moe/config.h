@@ -31,8 +31,6 @@ struct ModelConfig {
   // Attention heads (for the end-to-end runner's non-MoE cost); not part of
   // Table 2 but taken from the public model cards.
   int64_t num_heads = 32;
-
-  std::string ToString() const;
 };
 
 // Table 2 presets.
@@ -76,14 +74,8 @@ class Placement {
 
   int EpGroupOfExpert(int64_t expert) const;
   int64_t ExpertsPerGroup() const;  // E / EP
-  // First rank (lane 0) of the EP group owning `expert`.
-  int FirstRankOfExpert(int64_t expert) const;
-  // True if `rank` holds a shard of `expert`.
-  bool RankOwnsExpert(int rank, int64_t expert) const;
   // Local index of `expert` among the experts of its EP group.
   int64_t LocalExpertIndex(int64_t expert) const;
-  // Global expert id of local expert `local` on `rank`.
-  int64_t GlobalExpertIndex(int rank, int64_t local) const;
 
   // Hidden size each TP lane holds: K / TP.
   int64_t HiddenPerTpRank() const;

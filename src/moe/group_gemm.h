@@ -44,11 +44,6 @@ void GemmNTTile(const Tensor& a, const Tensor& b, Tensor& c,
 // `Y = X W`: dW = X^T dY. The reduction runs over A/B rows in ascending
 // order, so the result is deterministic for a fixed operand pair.
 void GemmTN(const Tensor& a, const Tensor& b, Tensor& c);
-// Tile variant of GemmTN over C rows/cols (both output dims; the row
-// reduction is never split, keeping per-tile determinism).
-void GemmTNTile(const Tensor& a, const Tensor& b, Tensor& c,
-                int64_t row_begin, int64_t row_end, int64_t col_begin,
-                int64_t col_end);
 
 // One output tile of a grouped problem.
 struct GemmTileCoord {

@@ -66,8 +66,6 @@ struct RankPlan {
   std::vector<ExpertSlice> experts;
 
   int64_t TotalRows() const;
-  // Row offset of local expert `local` in the group's packed shared tensor.
-  int64_t ExpertRowOffset(int64_t local) const;
 };
 
 // Minimal (m, n, k) triple; mirrors hw's GemmShape but lives here so moe does
@@ -120,9 +118,8 @@ class RoutePlan {
   const RankPlan& ForRank(int rank) const;
   const RankPlan& ForGroup(int ep_group) const;
 
-  // Rows `rank` consumes that originate in a different EP group / its own.
+  // Rows `rank` consumes that originate in a different EP group.
   int64_t RemoteRows(int rank) const;
-  int64_t LocalRows(int rank) const;
 
   // Layer0 dispatch traffic: bytes[i][j] over the fabric from rank i to rank
   // j (lane-matched between groups). Zero diagonal.

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <numeric>
 
 #include "util/check.h"
 #include "util/stats.h"
@@ -211,81 +209,6 @@ void GateNetwork::RouteInto(const Tensor& tokens, int64_t topk,
       w /= selected_sum;
     }
   }
-}
-
-ExpertChoiceGate::ExpertChoiceGate(Tensor gate_weight)
-    : gate_weight_(std::move(gate_weight)) {
-  COMET_CHECK_EQ(gate_weight_.shape().rank(), 2u);
-}
-
-int64_t ExpertChoiceGate::num_experts() const { return gate_weight_.cols(); }
-
-RoutingTable ExpertChoiceGate::Route(const Tensor& tokens,
-                                     int64_t avg_topk) const {
-  COMET_CHECK_EQ(tokens.cols(), gate_weight_.rows());
-  const int64_t e_total = num_experts();
-  const int64_t m = tokens.rows();
-  COMET_CHECK_GT(avg_topk, 0);
-  COMET_CHECK_LE(avg_topk, e_total);
-  const int64_t capacity = std::max<int64_t>(
-      1, m * avg_topk / e_total);  // tokens each expert admits
-
-  // Token-major softmax probabilities over experts.
-  std::vector<std::vector<float>> probs(
-      static_cast<size_t>(m), std::vector<float>(static_cast<size_t>(e_total)));
-  for (int64_t t = 0; t < m; ++t) {
-    const auto x = tokens.row(t);
-    auto& row = probs[static_cast<size_t>(t)];
-    float max_logit = -std::numeric_limits<float>::infinity();
-    for (int64_t e = 0; e < e_total; ++e) {
-      float acc = 0.0f;
-      for (int64_t n = 0; n < tokens.cols(); ++n) {
-        acc += x[static_cast<size_t>(n)] * gate_weight_.at({n, e});
-      }
-      row[static_cast<size_t>(e)] = acc;
-      max_logit = std::max(max_logit, acc);
-    }
-    float z = 0.0f;
-    for (auto& p : row) {
-      p = std::exp(p - max_logit);
-      z += p;
-    }
-    for (auto& p : row) {
-      p /= z;
-    }
-  }
-
-  // Each expert takes its top-`capacity` tokens by probability.
-  RoutingTable table;
-  table.tokens.resize(static_cast<size_t>(m));
-  for (int64_t e = 0; e < e_total; ++e) {
-    std::vector<int64_t> order(static_cast<size_t>(m));
-    std::iota(order.begin(), order.end(), 0);
-    std::stable_sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
-      return probs[static_cast<size_t>(a)][static_cast<size_t>(e)] >
-             probs[static_cast<size_t>(b)][static_cast<size_t>(e)];
-    });
-    for (int64_t i = 0; i < std::min(capacity, m); ++i) {
-      const int64_t t = order[static_cast<size_t>(i)];
-      table.tokens[static_cast<size_t>(t)].experts.push_back(e);
-      table.tokens[static_cast<size_t>(t)].weights.push_back(
-          probs[static_cast<size_t>(t)][static_cast<size_t>(e)]);
-    }
-  }
-
-  // Renormalize per-token combine weights.
-  for (auto& token : table.tokens) {
-    float sum = 0.0f;
-    for (float w : token.weights) {
-      sum += w;
-    }
-    if (sum > 0.0f) {
-      for (auto& w : token.weights) {
-        w /= sum;
-      }
-    }
-  }
-  return table;
 }
 
 SyntheticRouter::SyntheticRouter(std::vector<double> load, uint64_t seed)

@@ -23,7 +23,7 @@ namespace comet {
 
 // One token's routing decision: up to `topk` distinct experts with combine
 // weights summing to 1. Fewer than topk entries (possibly zero) occur when
-// capacity-limited routing dropped pairs or under expert-choice routing.
+// capacity-limited routing dropped pairs.
 //
 // Inline storage (util::InlineVec) keeps the common topk <= 8 case off the
 // heap entirely: copying a RoutingTable or resizing its token vector then
@@ -115,23 +115,6 @@ class GateNetwork {
 
  private:
   Tensor gate_weight_;  // (N, E)
-};
-
-// Expert-choice gate (Zhou et al., cited as [40] in the paper): instead of
-// each token picking its topk experts, each EXPERT picks its top-C tokens by
-// gate score, C = M * avg_topk / E. Loads are perfectly balanced by
-// construction (LoadStd == 0 when E divides M * avg_topk), at the price of a
-// variable number of experts per token.
-class ExpertChoiceGate {
- public:
-  explicit ExpertChoiceGate(Tensor gate_weight);  // (N, E)
-
-  RoutingTable Route(const Tensor& tokens, int64_t avg_topk) const;
-
-  int64_t num_experts() const;
-
- private:
-  Tensor gate_weight_;
 };
 
 // Load-controlled synthetic router.

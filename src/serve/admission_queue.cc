@@ -4,16 +4,6 @@
 
 namespace comet {
 
-const char* AdmissionPolicyName(AdmissionPolicy policy) {
-  switch (policy) {
-    case AdmissionPolicy::kShedNewest:
-      return "shed-newest";
-    case AdmissionPolicy::kShedOldest:
-      return "shed-oldest";
-  }
-  return "unknown";
-}
-
 AdmissionQueue::AdmissionQueue(int64_t capacity, AdmissionPolicy policy)
     : capacity_(capacity), policy_(policy) {
   COMET_CHECK_GT(capacity_, 0);
@@ -33,48 +23,23 @@ RequestSpec AdmissionQueue::PopFront() {
 }
 
 AdmissionQueue::Admit AdmissionQueue::TryPush(const RequestSpec& spec) {
+  std::lock_guard<std::mutex> lock(mu_);
   Admit result;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (closed_) {
-      ++total_shed_;
-      return result;
-    }
-    if (size_ < capacity_) {
-      PushBack(spec);
-      queued_tokens_ += spec.TotalTokens();
-      ++total_admitted_;
-      result.admitted = true;
-    } else if (policy_ == AdmissionPolicy::kShedOldest) {
-      result.evicted = PopFront();
-      PushBack(spec);
-      queued_tokens_ += spec.TotalTokens() - result.evicted->TotalTokens();
-      ++total_admitted_;
-      ++total_shed_;
-      result.admitted = true;
-    } else {
-      ++total_shed_;
-    }
-  }
-  if (result.admitted) {
-    ready_.notify_one();
+  if (size_ < capacity_) {
+    PushBack(spec);
+    queued_tokens_ += spec.TotalTokens();
+    result.admitted = true;
+  } else if (policy_ == AdmissionPolicy::kShedOldest) {
+    result.evicted = PopFront();
+    PushBack(spec);
+    queued_tokens_ += spec.TotalTokens() - result.evicted->TotalTokens();
+    result.admitted = true;
   }
   return result;
 }
 
 std::optional<RequestSpec> AdmissionQueue::TryPop() {
   std::lock_guard<std::mutex> lock(mu_);
-  if (size_ == 0) {
-    return std::nullopt;
-  }
-  RequestSpec spec = PopFront();
-  queued_tokens_ -= spec.TotalTokens();
-  return spec;
-}
-
-std::optional<RequestSpec> AdmissionQueue::Pop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  ready_.wait(lock, [&] { return size_ > 0 || closed_; });
   if (size_ == 0) {
     return std::nullopt;
   }
@@ -100,14 +65,6 @@ std::optional<RequestSpec> AdmissionQueue::Remove(int64_t id) {
   return std::nullopt;
 }
 
-void AdmissionQueue::Close() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    closed_ = true;
-  }
-  ready_.notify_all();
-}
-
 int64_t AdmissionQueue::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return size_;
@@ -116,16 +73,6 @@ int64_t AdmissionQueue::size() const {
 int64_t AdmissionQueue::queued_tokens() const {
   std::lock_guard<std::mutex> lock(mu_);
   return queued_tokens_;
-}
-
-int64_t AdmissionQueue::total_admitted() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return total_admitted_;
-}
-
-int64_t AdmissionQueue::total_shed() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return total_shed_;
 }
 
 }  // namespace comet

@@ -1,4 +1,4 @@
-// Bounded MPMC admission queue with an explicit backpressure/shed policy.
+// Bounded admission queue with an explicit backpressure/shed policy.
 //
 // The queue sits between the load generator (producer) and the continuous
 // batcher (consumer). It is deliberately BOUNDED: an open-loop arrival
@@ -10,19 +10,19 @@
 //  * kShedOldest -- a full queue evicts its head to admit the newcomer
 //    (the oldest request has already blown its deadline; spend capacity on
 //    one that can still meet it).
-// Shed requests are counted and reported, never silently dropped.
+// TryPush reports every shed request to its caller (the serving loop counts
+// and reports them), so none is silently dropped.
 //
-// Thread safety: all operations are safe from any number of producer and
-// consumer threads (mutex + condvar; serve_test hammers it cross-thread
-// under TSan). The simulated-clock serving loop drives it single-threaded
-// -- determinism there comes from the loop, not from the queue.
+// Thread safety: every operation takes one mutex, so any number of threads
+// may push and pop (serve_test hammers it cross-thread under TSan). The
+// simulated-clock serving loop drives it single-threaded -- determinism
+// there comes from the loop, not from the queue.
 //
 // Storage is a fixed ring sized at construction (the bound exists anyway --
 // that is the whole point of admission control), so steady-state push/pop
 // perform zero heap allocations.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <optional>
@@ -36,8 +36,6 @@ enum class AdmissionPolicy {
   kShedNewest,
   kShedOldest,
 };
-
-const char* AdmissionPolicyName(AdmissionPolicy policy);
 
 class AdmissionQueue {
  public:
@@ -59,19 +57,11 @@ class AdmissionQueue {
   // Non-blocking pop in FIFO order.
   std::optional<RequestSpec> TryPop();
 
-  // Blocking pop: waits until a request is available or the queue is closed
-  // AND drained (then returns nullopt).
-  std::optional<RequestSpec> Pop();
-
   // Removes (and returns) the queued request with RequestSpec::id == id,
   // preserving the order of the rest; nullopt when not queued. The cluster's
   // hedged dispatch uses this for loser cancellation: when one copy of a
-  // hedged request completes, the still-queued copy is withdrawn. Not
-  // counted as shed (the request completed elsewhere).
+  // hedged request completes, the still-queued copy is withdrawn.
   std::optional<RequestSpec> Remove(int64_t id);
-
-  // Wakes all blocked consumers; subsequent TryPush calls shed everything.
-  void Close();
 
   int64_t capacity() const { return capacity_; }
   AdmissionPolicy policy() const { return policy_; }
@@ -80,9 +70,6 @@ class AdmissionQueue {
   // the dispatcher hook the cluster plane's least-loaded / power-of-two
   // placement policies read as a replica's backlog.
   int64_t queued_tokens() const;
-  // Lifetime counters (monotonic).
-  int64_t total_admitted() const;
-  int64_t total_shed() const;
 
  private:
   // Ring accessors; callers hold mu_.
@@ -96,17 +83,13 @@ class AdmissionQueue {
   const AdmissionPolicy policy_;
 
   mutable std::mutex mu_;
-  std::condition_variable ready_;
   // Fixed-capacity ring (RequestSpec is POD): the queue is allocated once at
   // construction and steady-state push/pop touch no heap, which keeps the
   // serving loop's admission path inside the zero-allocation envelope.
   std::vector<RequestSpec> ring_;
   int64_t head_ = 0;  // index of the oldest element
   int64_t size_ = 0;
-  bool closed_ = false;
   int64_t queued_tokens_ = 0;
-  int64_t total_admitted_ = 0;
-  int64_t total_shed_ = 0;
 };
 
 }  // namespace comet

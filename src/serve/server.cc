@@ -867,21 +867,6 @@ obs::ReplicaTelemetry MoeServer::TelemetryView() const {
   return view;
 }
 
-std::string MoeServer::ExportChromeTrace() const {
-  const obs::ReplicaTelemetry view = TelemetryView();
-  return obs::ToChromeTraceJson({&view, 1});
-}
-
-std::string MoeServer::ExportPrometheusText() const {
-  const obs::ReplicaTelemetry view = TelemetryView();
-  return obs::ToPrometheusText({&view, 1});
-}
-
-std::string MoeServer::ExportTelemetryJsonl() const {
-  const obs::ReplicaTelemetry view = TelemetryView();
-  return obs::ToJsonl({&view, 1});
-}
-
 ServeReport MoeServer::BuildReport(double sim_duration_us) const {
   COMET_CHECK(run_ != nullptr) << "BuildReport before BeginRun";
   const RunState& run = *run_;

@@ -317,13 +317,10 @@ class MoeServer {
   // BeginRun. Recording only happens when options().telemetry.enabled.
   obs::Telemetry& telemetry() { return telemetry_; }
   const obs::Telemetry& telemetry() const { return telemetry_; }
-  // View over this server's telemetry for the exporters (one replica
-  // process; the cluster plane builds its own multi-replica list).
+  // View over this server's telemetry for the exporters in obs/exporters.h
+  // (one replica process; the cluster plane builds its multi-replica list
+  // from these).
   obs::ReplicaTelemetry TelemetryView() const;
-  // Renders this server's telemetry (see obs/exporters.h for formats).
-  std::string ExportChromeTrace() const;
-  std::string ExportPrometheusText() const;
-  std::string ExportTelemetryJsonl() const;
 
  private:
   struct LiveRequest;

@@ -55,12 +55,6 @@ void StreamSim::HostWork(std::string label, double duration_us) {
   timeline_.Add(std::move(label), OpCategory::kHost, -1, begin, host_time_us_);
 }
 
-double StreamSim::KernelEnd(KernelId id) const {
-  COMET_CHECK_GE(id, 0);
-  COMET_CHECK_LT(static_cast<size_t>(id), kernel_end_.size());
-  return kernel_end_[static_cast<size_t>(id)];
-}
-
 double StreamSim::KernelStart(KernelId id) const {
   COMET_CHECK_GE(id, 0);
   COMET_CHECK_LT(static_cast<size_t>(id), kernel_start_.size());

@@ -38,7 +38,6 @@ class StreamSim {
   // recorded under OpCategory::kHost.
   void HostWork(std::string label, double duration_us);
 
-  double KernelEnd(KernelId id) const;
   double KernelStart(KernelId id) const;
 
   // Time at which all enqueued kernels have finished.

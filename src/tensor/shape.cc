@@ -12,12 +12,6 @@ Shape::Shape(std::initializer_list<int64_t> dims) : dims_(dims) {
   }
 }
 
-Shape::Shape(std::vector<int64_t> dims) : dims_(std::move(dims)) {
-  for (int64_t d : dims_) {
-    COMET_CHECK_GE(d, 0) << "negative dimension in shape";
-  }
-}
-
 void Shape::SetDims2(int64_t rows, int64_t cols) {
   COMET_CHECK_GE(rows, 0) << "negative dimension in shape";
   COMET_CHECK_GE(cols, 0) << "negative dimension in shape";
@@ -37,14 +31,6 @@ int64_t Shape::NumElements() const {
     n *= d;
   }
   return n;
-}
-
-std::vector<int64_t> Shape::Strides() const {
-  std::vector<int64_t> strides(dims_.size(), 1);
-  for (size_t i = dims_.size(); i-- > 1;) {
-    strides[i - 1] = strides[i] * dims_[i];
-  }
-  return strides;
 }
 
 int64_t Shape::FlatIndex(std::span<const int64_t> index) const {

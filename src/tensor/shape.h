@@ -14,7 +14,6 @@ class Shape {
  public:
   Shape() = default;
   Shape(std::initializer_list<int64_t> dims);
-  explicit Shape(std::vector<int64_t> dims);
 
   size_t rank() const { return dims_.size(); }
   int64_t dim(size_t i) const;
@@ -24,7 +23,6 @@ class Shape {
   int64_t NumElements() const;
 
   // Row-major strides in elements: stride(i) = product of dims after i.
-  std::vector<int64_t> Strides() const;
 
   // Flat row-major offset for the given index vector (must match rank, each
   // index in range). The span overload is allocation-free (Horner form, no

@@ -1,11 +1,10 @@
 #include "tensor/tensor.h"
 
+#include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "util/check.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace comet {
 
@@ -50,13 +49,6 @@ void Tensor::Quantize() {
     return;
   }
   QuantizeSpan(std::span<float>(data_), dtype_);
-}
-
-void Tensor::QuantizeRow(int64_t r) {
-  if (dtype_ == DType::kF32) {
-    return;
-  }
-  QuantizeSpan(row(r), dtype_);
 }
 
 Tensor Tensor::AsType(DType dtype) const {
@@ -124,10 +116,6 @@ void Tensor::ResetFormat2D(int64_t rows, int64_t cols, DType dtype) {
   data_.resize(static_cast<size_t>(rows * cols));
 }
 
-void Tensor::FillZero() {
-  std::fill(data_.begin(), data_.end(), 0.0f);
-}
-
 void Tensor::FillZeroRows(int64_t row_begin, int64_t row_end) {
   COMET_CHECK_GE(row_begin, 0);
   COMET_CHECK_LE(row_begin, row_end);
@@ -142,17 +130,6 @@ void Tensor::FillRandn(Rng& rng, float stddev) {
     x = static_cast<float>(rng.Normal(0.0, stddev));
   }
   Quantize();
-}
-
-Tensor Tensor::GatherRows(const Tensor& src, const std::vector<int64_t>& indices) {
-  COMET_CHECK_EQ(src.shape().rank(), 2u);
-  Tensor out(Shape{static_cast<int64_t>(indices.size()), src.cols()},
-             src.dtype());
-  // Destination rows are disjoint; fan the copies across the pool.
-  ParallelFor(0, static_cast<int64_t>(indices.size()), 32, [&](int64_t i) {
-    out.SetRow(i, src.row(indices[static_cast<size_t>(i)]));
-  });
-  return out;
 }
 
 void Tensor::SetRow(int64_t r, std::span<const float> src_row) {
@@ -192,21 +169,5 @@ bool Tensor::AllClose(const Tensor& a, const Tensor& b, float rtol, float atol) 
   return true;
 }
 
-std::string Tensor::DebugString(int64_t max_elements) const {
-  std::ostringstream os;
-  os << "Tensor" << shape_.ToString() << " " << DTypeName(dtype_) << " {";
-  const int64_t n = std::min<int64_t>(max_elements, NumElements());
-  for (int64_t i = 0; i < n; ++i) {
-    if (i > 0) {
-      os << ", ";
-    }
-    os << data_[static_cast<size_t>(i)];
-  }
-  if (n < NumElements()) {
-    os << ", ...";
-  }
-  os << "}";
-  return os.str();
-}
 
 }  // namespace comet

@@ -5,13 +5,13 @@
 // invariant: every stored value is exactly expressible in BF16/F16, so the
 // f32 master and the 16-bit encoding name the same number. Fill constructors
 // establish the invariant by rounding (RNE, tensor/dtype.h codecs);
-// Quantize()/QuantizeRow() re-establish it at the compute plane's explicit
+// Quantize() re-establishes it at the compute plane's explicit
 // rounding points (GEMM stores, activation stores, combine outputs). Raw
 // writes through row()/at()/data() are intentionally unrounded -- f32
 // accumulation between rounding points is exactly the tensor-core contract.
 //
 // The functional plane only needs: allocation, random/constant fill, 2-D
-// row access (tokens are rows), row gather/scatter, and elementwise
+// row access (tokens are rows), row copy/accumulate, and elementwise
 // comparison with tolerance.
 #pragma once
 
@@ -46,8 +46,6 @@ class Tensor {
   // Rounds every element to this tensor's dtype (no-op at kF32). The
   // per-element rounding is pure, so parallel and serial calls agree.
   void Quantize();
-  // Rounds one row (rank-2 tensors) -- the combine paths' store-rounding.
-  void QuantizeRow(int64_t r);
   // Copy of this tensor relabeled AND rounded to `dtype`. The master values
   // of a widening copy (bf16 -> f32) are unchanged.
   Tensor AsType(DType dtype) const;
@@ -78,8 +76,8 @@ class Tensor {
   // it every iteration within that capacity -- no allocation, no implicit
   // zeroing. Contents after ResetFormat2D are UNSPECIFIED (whatever the
   // previous iteration left); callers either overwrite every row or
-  // FillZero the slice they need. Fill{Zero,Randn} are the in-place
-  // counterparts of Zeros/Randn and produce bit-identical values.
+  // FillZeroRows the slice they need. FillRandn is the in-place counterpart
+  // of Randn and produces bit-identical values.
 
   // Grows storage capacity to `num_elements` floats (allocates; warm-up
   // only). Never shrinks, never changes shape or contents.
@@ -88,16 +86,12 @@ class Tensor {
   // rows * cols fits the reserved capacity and the tensor was already
   // rank-2 (or had rank >= 2 dims capacity).
   void ResetFormat2D(int64_t rows, int64_t cols, DType dtype);
-  // Zeroes all elements / rows [row_begin, row_end) (rank-2).
-  void FillZero();
+  // Zeroes rows [row_begin, row_end) (rank-2).
   void FillZeroRows(int64_t row_begin, int64_t row_end);
   // Refills with iid N(0, stddev^2), then rounds to dtype -- consumes the
   // rng exactly like Randn, so pooled and freshly-constructed request
   // tensors hold bit-identical values for the same rng state.
   void FillRandn(Rng& rng, float stddev = 1.0f);
-
-  // Gathers rows of `src` at `indices` into a new tensor (rank-2).
-  static Tensor GatherRows(const Tensor& src, const std::vector<int64_t>& indices);
 
   // Copies `src_row` (a row span) into row `r` of this tensor.
   void SetRow(int64_t r, std::span<const float> src_row);
@@ -110,8 +104,6 @@ class Tensor {
   // True if all elements differ by at most atol + rtol * |b|.
   static bool AllClose(const Tensor& a, const Tensor& b, float rtol = 1e-5f,
                        float atol = 1e-6f);
-
-  std::string DebugString(int64_t max_elements = 16) const;
 
  private:
   Shape shape_;

@@ -27,19 +27,13 @@ class MetadataStore {
 
   void Put(const std::string& key, const std::string& value);
   void PutInt(const std::string& key, int64_t value);
-  void PutDouble(const std::string& key, double value);
 
   std::optional<std::string> Get(const std::string& key) const;
+  // The whole value must parse as an integer; anything else CHECK-fails
+  // naming the key and the value.
   std::optional<int64_t> GetInt(const std::string& key) const;
-  std::optional<double> GetDouble(const std::string& key) const;
 
-  bool Contains(const std::string& key) const;
-  // Drops every entry (the serving plane invalidates its batch-profile
-  // store when the replica layout changes and the cached division points no
-  // longer describe the plan being executed).
-  void Clear() { entries_.clear(); }
   size_t size() const { return entries_.size(); }
-  const std::map<std::string, std::string>& entries() const { return entries_; }
 
  private:
   std::map<std::string, std::string> entries_;

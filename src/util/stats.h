@@ -1,6 +1,6 @@
-// Summary statistics used by the benchmark harnesses and the adaptive
-// profiler: online mean/variance (Welford), percentiles over stored samples,
-// and geometric-mean speedup aggregation as reported in the paper's §5.
+// Summary statistics used by the benchmark harnesses and the serving plane:
+// a fixed-bucket histogram, nearest-rank percentiles, and geometric-mean
+// speedup aggregation as reported in the paper's §5.
 #pragma once
 
 #include <array>
@@ -10,54 +10,6 @@
 #include <vector>
 
 namespace comet {
-
-// Online mean/variance accumulator (Welford's algorithm). O(1) memory.
-class OnlineStats {
- public:
-  void Add(double x);
-
-  size_t count() const { return count_; }
-  double mean() const { return mean_; }
-  // Population variance/std (divide by N). Zero when count() < 1.
-  double variance() const;
-  double stddev() const;
-  double min() const { return min_; }
-  double max() const { return max_; }
-
- private:
-  size_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
-// Sample container with percentile queries. Stores all samples.
-class SampleSet {
- public:
-  void Add(double x);
-  size_t size() const { return samples_.size(); }
-  bool empty() const { return samples_.empty(); }
-
-  double Mean() const;
-  double Stddev() const;  // population stddev
-  double Min() const;
-  double Max() const;
-  // Linear-interpolated percentile, p in [0, 100]. Requires non-empty.
-  double Percentile(double p) const;
-  double Median() const { return Percentile(50.0); }
-  // Exact nearest-rank percentile (see PercentileNearestRank below).
-  double PercentileExact(double p) const;
-
-  const std::vector<double>& samples() const { return samples_; }
-
- private:
-  void EnsureSorted() const;
-
-  std::vector<double> samples_;
-  mutable std::vector<double> sorted_;
-  mutable bool sorted_valid_ = false;
-};
 
 // Fixed-bucket log2 histogram: 64 buckets covering the full useful double
 // range with O(1) memory and no per-sample allocation, plus an EXACT count
@@ -108,10 +60,10 @@ class Histogram {
 
 // Exact nearest-rank percentile: the smallest sample x such that at least
 // ceil(p/100 * n) of the samples are <= x (p == 0 returns the minimum).
-// Unlike SampleSet::Percentile it never interpolates -- the result is always
-// a value that actually occurred, which keeps aggregated latency metrics
-// bit-reproducible across runs (the serving plane's determinism contract
-// extends to its reported percentiles). Requires non-empty, p in [0, 100].
+// It never interpolates -- the result is always a value that actually
+// occurred, which keeps aggregated latency metrics bit-reproducible across
+// runs (the serving plane's determinism contract extends to its reported
+// percentiles). Requires non-empty, p in [0, 100].
 double PercentileNearestRank(std::span<const double> values, double p);
 
 // p50/p95/p99 reduction of a latency sample set (nearest-rank, so the

@@ -3,8 +3,8 @@
 //
 // Three layers of pinning:
 //  1. The allocator primitives themselves (AllocCounter interposition,
-//     MonotonicArena, FixedPool, InlineVec): reset semantics, capacity
-//     retention, loud CheckError on exhaustion.
+//     FixedPool, InlineVec): capacity retention, loud CheckError on
+//     exhaustion.
 //  2. The tentpole contract: a steady-state MoeServer::StepIteration --
 //     admission, packing, routing, the full functional executor pass across
 //     every rank, harvesting and retirement -- performs ZERO heap
@@ -42,7 +42,6 @@ using util::AllocStats;
 using util::AllocWindow;
 using util::FixedPool;
 using util::InlineVec;
-using util::MonotonicArena;
 
 // ---- the counter itself ----------------------------------------------------
 
@@ -77,53 +76,6 @@ TEST(AllocCounter, AttributesToThread) {
   void* p = ::operator new(sizeof(double));  // not elidable (see above)
   ::operator delete(p);
   EXPECT_GE(AllocCounter::Thread().allocs, 1u);
-}
-
-// ---- MonotonicArena --------------------------------------------------------
-
-TEST(MonotonicArena, BumpAllocatesAndAligns) {
-  MonotonicArena arena(1024);
-  void* a = arena.Allocate(3, 1);
-  void* b = arena.Allocate(8, 8);
-  EXPECT_NE(a, nullptr);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(b) % 8, 0u);
-  EXPECT_GE(arena.used(), 11u);
-  EXPECT_EQ(arena.capacity(), 1024u);
-}
-
-TEST(MonotonicArena, ResetForgetsButKeepsBlock) {
-  MonotonicArena arena(256);
-  void* first = arena.Allocate(64);
-  arena.Reset();
-  EXPECT_EQ(arena.used(), 0u);
-  // Same block, same first address: Reset is O(1) reuse, not reallocation.
-  EXPECT_EQ(arena.Allocate(64), first);
-}
-
-TEST(MonotonicArena, SteadyStateAllocationsAreFree) {
-  MonotonicArena arena(4096);
-  AllocWindow w;
-  for (int iter = 0; iter < 100; ++iter) {
-    arena.Reset();
-    (void)arena.AllocateArray<int64_t>(64);
-    (void)arena.Allocate(100, 16);
-  }
-  EXPECT_EQ(w.Snapshot().allocs, 0u);
-}
-
-TEST(MonotonicArena, ExhaustionThrowsLoudly) {
-  MonotonicArena arena(64);
-  (void)arena.Allocate(48);
-  EXPECT_THROW(arena.Allocate(32), CheckError)
-      << "a silent heap fallback would make the zero-allocation guarantee "
-         "probabilistic";
-  EXPECT_THROW(arena.Allocate(17, 64), CheckError) << "alignment counts too";
-}
-
-TEST(MonotonicArena, RejectsBadAlignment) {
-  MonotonicArena arena(64);
-  EXPECT_THROW(arena.Allocate(8, 3), CheckError);
-  EXPECT_THROW(arena.Allocate(8, 0), CheckError);
 }
 
 // ---- FixedPool -------------------------------------------------------------

@@ -116,23 +116,6 @@ TEST(TransposedGemm, NTTilesComposeToWhole) {
   EXPECT_EQ(Tensor::MaxAbsDiff(whole, tiled), 0.0f);
 }
 
-TEST(TransposedGemm, TNTilesComposeToWholeBitExact) {
-  Rng rng(4);
-  const Tensor a = Tensor::Randn(Shape{9, 7}, rng);
-  const Tensor b = Tensor::Randn(Shape{9, 11}, rng);
-  Tensor whole(Shape{7, 11});
-  GemmTN(a, b, whole);
-  Tensor tiled(Shape{7, 11});
-  for (int64_t r = 0; r < 7; r += 3) {
-    for (int64_t c = 0; c < 11; c += 4) {
-      GemmTNTile(a, b, tiled, r, std::min<int64_t>(r + 3, 7), c,
-                 std::min<int64_t>(c + 4, 11));
-    }
-  }
-  // The row reduction is never split across tiles, so composition is exact.
-  EXPECT_EQ(Tensor::MaxAbsDiff(whole, tiled), 0.0f);
-}
-
 // ---- activation derivatives -------------------------------------------------
 
 class ActivationGradTest

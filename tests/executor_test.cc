@@ -176,11 +176,27 @@ TEST(CometBatch, RunBatchMatchesRunAndCachesProfiles) {
   batched.RunBatchInto(w, cluster, ExecMode::kFunctional, &via_batch);
   ExpectBitExact(via_run.outputs, via_batch.outputs);
   EXPECT_EQ(via_run.duration_us, via_batch.duration_us);
-  EXPECT_GT(batched.batch_profile_entries(), 0u);
+  // The first call sweeps and memoizes its batch token count.
+  EXPECT_EQ(batched.profile_memo_misses(), 1u);
+  EXPECT_EQ(batched.profile_memo_hits(), 0u);
+  EXPECT_EQ(batched.batch_profile_entries(), 1u);
   // Division points agree between the swept and the cached path.
   LayerExecution again;
   batched.RunBatchInto(w, cluster, ExecMode::kFunctional, &again);
+  EXPECT_EQ(batched.profile_memo_hits(), 1u);
+  EXPECT_EQ(batched.profile_memo_misses(), 1u);
   EXPECT_EQ(again.duration_us, via_run.duration_us);
+  EXPECT_EQ(batched.last_layer0_comm_blocks(), plain.last_layer0_comm_blocks());
+  EXPECT_EQ(batched.last_layer1_comm_blocks(), plain.last_layer1_comm_blocks());
+  // Invalidation empties the memo: the next call sweeps again and picks the
+  // same division points.
+  batched.InvalidateBatchProfiles();
+  EXPECT_EQ(batched.batch_profile_entries(), 0u);
+  LayerExecution resweep;
+  batched.RunBatchInto(w, cluster, ExecMode::kFunctional, &resweep);
+  EXPECT_EQ(batched.profile_memo_misses(), 2u);
+  EXPECT_EQ(batched.profile_memo_hits(), 1u);
+  EXPECT_EQ(resweep.duration_us, via_run.duration_us);
   EXPECT_EQ(batched.last_layer0_comm_blocks(), plain.last_layer0_comm_blocks());
   EXPECT_EQ(batched.last_layer1_comm_blocks(), plain.last_layer1_comm_blocks());
 }

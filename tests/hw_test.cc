@@ -31,11 +31,6 @@ TEST(ClusterPresets, L20IsBandwidthLimited) {
   EXPECT_LT(l.gpu.peak_flops_per_us, h.gpu.peak_flops_per_us);
 }
 
-TEST(ClusterPresets, LinkTypeNames) {
-  EXPECT_EQ(LinkTypeName(LinkType::kNvLink), "NVLink");
-  EXPECT_EQ(LinkTypeName(LinkType::kPcie), "PCIe");
-}
-
 TEST(GpuSpec, PerSmThroughput) {
   const ClusterSpec c = H800Cluster(8);
   EXPECT_NEAR(c.gpu.FlopsPerUsPerSm() * c.gpu.num_sms, c.gpu.peak_flops_per_us,

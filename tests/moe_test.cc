@@ -52,11 +52,7 @@ TEST(Placement, RankAndGroupArithmetic) {
   EXPECT_EQ(p.RankOf(2, 1), 5);
   EXPECT_EQ(p.ExpertsPerGroup(), 2);
   EXPECT_EQ(p.EpGroupOfExpert(5), 2);
-  EXPECT_EQ(p.FirstRankOfExpert(5), 4);
-  EXPECT_TRUE(p.RankOwnsExpert(5, 5));
-  EXPECT_FALSE(p.RankOwnsExpert(0, 5));
   EXPECT_EQ(p.LocalExpertIndex(5), 1);
-  EXPECT_EQ(p.GlobalExpertIndex(5, 1), 5);
   EXPECT_EQ(p.HiddenPerTpRank(), 14336 / 2);
   EXPECT_EQ(p.HomeGroupOfToken(700), 2);
   EXPECT_EQ(p.FirstTokenOfGroup(2), 512);
@@ -528,47 +524,6 @@ TEST(CapacityFactor, FullyDroppedTokenOutputsZero) {
       EXPECT_EQ(out[0].at({t, c}), 0.0f);
     }
   }
-}
-
-// ---- expert-choice routing ------------------------------------------------------
-
-TEST(ExpertChoice, LoadsPerfectlyBalanced) {
-  Rng rng(9);
-  ExpertChoiceGate gate(Tensor::Randn(Shape{16, 8}, rng));
-  const Tensor tokens = Tensor::Randn(Shape{64, 16}, rng);
-  const RoutingTable table = gate.Route(tokens, 2);
-  // capacity = 64 * 2 / 8 = 16 tokens per expert, exactly.
-  const auto loads = table.ExpertLoads(8);
-  for (int64_t l : loads) {
-    EXPECT_EQ(l, 16);
-  }
-  EXPECT_DOUBLE_EQ(table.LoadStd(8), 0.0);
-}
-
-TEST(ExpertChoice, WeightsNormalizedAndDistinct) {
-  Rng rng(10);
-  ExpertChoiceGate gate(Tensor::Randn(Shape{8, 4}, rng));
-  const Tensor tokens = Tensor::Randn(Shape{32, 8}, rng);
-  const RoutingTable table = gate.Route(tokens, 2);
-  // A token may be chosen by up to all 4 experts; validate with topk = E.
-  table.Validate(4, 4);
-}
-
-TEST(ExpertChoice, SomeTokensMayGetNoExpert) {
-  // With strong skew, unpopular tokens can end up unrouted -- the documented
-  // trade-off of expert choice.
-  Rng rng(11);
-  ExpertChoiceGate gate(Tensor::Randn(Shape{8, 4}, rng, 2.0f));
-  const Tensor tokens = Tensor::Randn(Shape{64, 8}, rng, 2.0f);
-  const RoutingTable table = gate.Route(tokens, 1);
-  int64_t unrouted = 0;
-  int64_t pairs = 0;
-  for (const auto& t : table.tokens) {
-    unrouted += t.experts.empty() ? 1 : 0;
-    pairs += static_cast<int64_t>(t.experts.size());
-  }
-  EXPECT_EQ(pairs, 64);  // every expert filled its quota
-  EXPECT_GT(unrouted, 0);
 }
 
 }  // namespace

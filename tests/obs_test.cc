@@ -128,8 +128,10 @@ Snapshots ServerSnapshots(int num_threads, int ep) {
       BaseServeOptions(ep, DType::kF32, num_threads, /*telemetry=*/true),
       H800Cluster(ep));
   (void)server.Serve(arrivals);
-  return Snapshots{server.ExportChromeTrace(), server.ExportPrometheusText(),
-                   server.ExportTelemetryJsonl()};
+  const obs::ReplicaTelemetry view = server.TelemetryView();
+  return Snapshots{obs::ToChromeTraceJson({&view, 1}),
+                   obs::ToPrometheusText({&view, 1}),
+                   obs::ToJsonl({&view, 1})};
 }
 
 TEST(TelemetryDeterminism, ServerSnapshotsByteIdenticalAcrossThreads) {

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <limits>
 
 #include "util/check.h"
@@ -92,12 +93,14 @@ TEST(Rng, UniformIntCoversRangeInclusive) {
 
 TEST(Rng, NormalMoments) {
   Rng rng(5);
-  OnlineStats stats;
+  std::vector<double> draws;
+  double sum = 0.0;
   for (int i = 0; i < 20000; ++i) {
-    stats.Add(rng.Normal(3.0, 2.0));
+    draws.push_back(rng.Normal(3.0, 2.0));
+    sum += draws.back();
   }
-  EXPECT_NEAR(stats.mean(), 3.0, 0.1);
-  EXPECT_NEAR(stats.stddev(), 2.0, 0.1);
+  EXPECT_NEAR(sum / static_cast<double>(draws.size()), 3.0, 0.1);
+  EXPECT_NEAR(PopulationStddev(draws), 2.0, 0.1);
 }
 
 TEST(Rng, CategoricalFollowsWeights) {
@@ -150,36 +153,6 @@ TEST(Rng, ShufflePreservesElements) {
 }
 
 // ---- stats -----------------------------------------------------------------
-
-TEST(OnlineStats, BasicMoments) {
-  OnlineStats s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) {
-    s.Add(x);
-  }
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.stddev(), 2.0, 1e-12);
-  EXPECT_EQ(s.min(), 2.0);
-  EXPECT_EQ(s.max(), 9.0);
-  EXPECT_EQ(s.count(), 8u);
-}
-
-TEST(SampleSet, Percentiles) {
-  SampleSet s;
-  for (int i = 1; i <= 100; ++i) {
-    s.Add(static_cast<double>(i));
-  }
-  EXPECT_DOUBLE_EQ(s.Min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.Max(), 100.0);
-  EXPECT_NEAR(s.Median(), 50.5, 1e-9);
-  EXPECT_NEAR(s.Percentile(90), 90.1, 0.2);
-}
-
-TEST(SampleSet, PercentileOfSingleton) {
-  SampleSet s;
-  s.Add(7.0);
-  EXPECT_DOUBLE_EQ(s.Percentile(0), 7.0);
-  EXPECT_DOUBLE_EQ(s.Percentile(100), 7.0);
-}
 
 TEST(Stats, PercentileNearestRankOddCount) {
   // Sorted: {10, 20, 30, 40, 50}. rank = ceil(p/100 * 5).
@@ -259,20 +232,6 @@ TEST(Stats, PercentileNearestRankRejectsBadInput) {
                CheckError);
   EXPECT_THROW(PercentileNearestRank(std::vector<double>{1.0}, 101.0),
                CheckError);
-}
-
-TEST(Stats, SampleSetPercentileExactAgreesWithFreeFunction) {
-  SampleSet s;
-  std::vector<double> v;
-  Rng rng(7);
-  for (int i = 0; i < 31; ++i) {
-    const double x = rng.Uniform(0.0, 1.0);
-    s.Add(x);
-    v.push_back(x);
-  }
-  for (double p : {0.0, 50.0, 95.0, 99.0, 100.0}) {
-    EXPECT_DOUBLE_EQ(s.PercentileExact(p), PercentileNearestRank(v, p));
-  }
 }
 
 TEST(Stats, SummarizeLatency) {
@@ -455,14 +414,34 @@ TEST_F(MetadataStoreTest, RoundTrip) {
   MetadataStore store;
   store.Put("cluster|model|layer0", "26");
   store.PutInt("nc", 46);
-  store.PutDouble("duration", 123.456);
   store.Save(path_.string());
 
   const MetadataStore loaded = MetadataStore::Load(path_.string());
   EXPECT_EQ(loaded.Get("cluster|model|layer0"), "26");
   EXPECT_EQ(loaded.GetInt("nc"), 46);
-  EXPECT_NEAR(*loaded.GetDouble("duration"), 123.456, 1e-9);
-  EXPECT_EQ(loaded.size(), 3u);
+  EXPECT_EQ(loaded.size(), 2u);
+}
+
+TEST_F(MetadataStoreTest, GetIntRejectsMalformedValues) {
+  // The file comes from disk: a value that is not wholly an integer must
+  // fail loudly, naming the key and the value, never parse a prefix.
+  {
+    std::ofstream out(path_);
+    out << "trailing=12abc\nempty=\nsigned=-7\n";
+  }
+  const MetadataStore loaded = MetadataStore::Load(path_.string());
+  EXPECT_EQ(loaded.GetInt("signed"), -7);
+  for (const std::string key : {"trailing", "empty"}) {
+    try {
+      (void)loaded.GetInt(key);
+      FAIL() << "expected CheckError for " << key;
+    } catch (const CheckError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("'" + key + "' holds '" + *loaded.Get(key) + "'"),
+                std::string::npos)
+          << what;
+    }
+  }
 }
 
 TEST_F(MetadataStoreTest, MissingFileYieldsEmptyStore) {
@@ -478,20 +457,11 @@ TEST_F(MetadataStoreTest, RejectsKeysWithEquals) {
 
 // ---- string utils ----------------------------------------------------------
 
-TEST(StringUtil, SplitAndJoin) {
+TEST(StringUtil, SplitKeepsEmptyFields) {
   const auto parts = Split("a|b||c", '|');
   ASSERT_EQ(parts.size(), 4u);
   EXPECT_EQ(parts[0], "a");
   EXPECT_EQ(parts[2], "");
-  EXPECT_EQ(Join({"x", "y", "z"}, ", "), "x, y, z");
-}
-
-TEST(StringUtil, PrefixSuffixTrim) {
-  EXPECT_TRUE(StartsWith("comet-core", "comet"));
-  EXPECT_FALSE(StartsWith("co", "comet"));
-  EXPECT_TRUE(EndsWith("layer0.cc", ".cc"));
-  EXPECT_EQ(Trim("  pad  "), "pad");
-  EXPECT_EQ(Trim(""), "");
 }
 
 }  // namespace
