@@ -19,8 +19,9 @@ namespace {
 // Chunked Megatron-style MoE layer on `rank`: phase-major, chunk-minor
 // issue so chunk c+1's dispatch overlaps chunk c's experts (the Figure 1(b)
 // schedule), with per-chunk kernels and launches.
+// `coll` holds the collectives of one chunk at `degree`.
 double ChunkedLayerUs(const MoeWorkload& w, const OpCostModel& costs,
-                      int rank, int degree) {
+                      int rank, int degree, const BaselineCollectives& coll) {
   const BaselineQuantities q =
       ComputeQuantities(w, costs, rank, 0.85, 1.0 / degree);
   StreamSim sim(costs.LaunchUs());
@@ -35,7 +36,7 @@ double ChunkedLayerUs(const MoeWorkload& w, const OpCostModel& costs,
     const KernelId perm = sim.Launch(comp, "permute", OpCategory::kLayer0Comp,
                                      q.permute_us);
     a2a[static_cast<size_t>(c)] = sim.Launch(
-        comm, "a2a-dispatch", OpCategory::kLayer0Comm, q.a2a_dispatch_us,
+        comm, "a2a-dispatch", OpCategory::kLayer0Comm, coll.a2a_dispatch_us,
         {perm});
   }
   for (int c = 0; c < degree; ++c) {
@@ -48,7 +49,7 @@ double ChunkedLayerUs(const MoeWorkload& w, const OpCostModel& costs,
   }
   for (int c = 0; c < degree; ++c) {
     const KernelId ret = sim.Launch(comm, "a2a-return",
-                                    OpCategory::kLayer1Comm, q.a2a_return_us,
+                                    OpCategory::kLayer1Comm, coll.a2a_return_us,
                                     {gemm1[static_cast<size_t>(c)]});
     sim.Launch(comp, "combine", OpCategory::kLayer1Comp, q.unpermute_us,
                {ret});
@@ -76,9 +77,11 @@ REGISTER_BENCH(fig01b_coarse_pipeline, "Figure 1(b): coarse-grained overlap by c
     std::vector<std::string> row{std::to_string(m)};
     double best_chunked = 1e300;
     for (const int degree : {1, 2, 4, 8}) {
+      const BaselineCollectives coll =
+          ComputeCollectives(w, costs, 1.0 / degree);
       double worst = 0.0;
       for (int r = 0; r < w.world(); ++r) {
-        worst = std::max(worst, ChunkedLayerUs(w, costs, r, degree));
+        worst = std::max(worst, ChunkedLayerUs(w, costs, r, degree, coll));
       }
       row.push_back(FormatUsAsMs(worst));
       if (degree > 1) {

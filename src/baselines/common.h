@@ -20,16 +20,27 @@ namespace comet {
 // overall duration when M is small").
 inline constexpr double kAuxRoutingKernels = 8.0;
 
-// Per-rank operator durations every baseline composes from. All collective
-// times are global makespans (a collective completes when the slowest rank
-// does), GEMM/local times are per-rank.
+// Collective durations of one pipeline chunk. Each is a global makespan (a
+// collective completes when the slowest rank does), so it does not depend
+// on the rank: every baseline computes them once per Run and chunk fraction,
+// before fanning out over ranks.
+struct BaselineCollectives {
+  double a2a_dispatch_us = 0.0;
+  double a2a_return_us = 0.0;
+  double tp_reduce_scatter_us = 0.0;
+};
+
+// `chunk_fraction` (0 < f <= 1) scales the bytes each collective moves.
+BaselineCollectives ComputeCollectives(const MoeWorkload& workload,
+                                       const OpCostModel& costs,
+                                       double chunk_fraction = 1.0);
+
+// Per-rank operator durations every baseline composes from, next to the
+// collectives above.
 struct BaselineQuantities {
   double gate_us = 0.0;
   double permute_us = 0.0;    // local token reordering before dispatch
   double unpermute_us = 0.0;  // local un-reordering + top-k combine
-  double a2a_dispatch_us = 0.0;
-  double a2a_return_us = 0.0;
-  double tp_reduce_scatter_us = 0.0;
   double gemm0_us = 0.0;
   double gemm1_us = 0.0;
   double activation_us = 0.0;

@@ -21,6 +21,8 @@ LayerExecution FasterMoeExecutor::Run(const MoeWorkload& workload,
   const double chunk_fraction = 1.0 / kPipelineDegree;
   std::vector<double> per_rank(static_cast<size_t>(world), 0.0);
   std::vector<Timeline> timelines(static_cast<size_t>(world));
+  const BaselineCollectives coll =
+      ComputeCollectives(workload, costs, chunk_fraction);
 
   // Per-rank StreamSim programs are independent; fan them out.
   ParallelFor(0, world, 1, [&](int64_t ri) {
@@ -54,7 +56,7 @@ LayerExecution FasterMoeExecutor::Run(const MoeWorkload& workload,
     for (int c = 0; c < kPipelineDegree; ++c) {
       a2a[static_cast<size_t>(c)] = sim.Launch(
           comm, "a2a-dispatch", OpCategory::kLayer0Comm,
-          q.a2a_dispatch_us * kSmartCommFactor,
+          coll.a2a_dispatch_us * kSmartCommFactor,
           {scatter[static_cast<size_t>(c)]});
     }
     for (int c = 0; c < kPipelineDegree; ++c) {
@@ -81,7 +83,7 @@ LayerExecution FasterMoeExecutor::Run(const MoeWorkload& workload,
     for (int c = 0; c < kPipelineDegree; ++c) {
       ret[static_cast<size_t>(c)] = sim.Launch(
           comm, "a2a-return", OpCategory::kLayer1Comm,
-          q.a2a_return_us * kSmartCommFactor,
+          coll.a2a_return_us * kSmartCommFactor,
           {gemm1[static_cast<size_t>(kPipelineDegree - 1)]});
     }
     for (int c = 0; c < kPipelineDegree; ++c) {

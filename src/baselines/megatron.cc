@@ -23,6 +23,7 @@ LayerExecution MegatronExecutor::Run(const MoeWorkload& workload,
   const int world = workload.world();
   std::vector<double> per_rank(static_cast<size_t>(world), 0.0);
   std::vector<Timeline> timelines(static_cast<size_t>(world));
+  const BaselineCollectives coll = ComputeCollectives(workload, costs);
 
   // Per-rank StreamSim programs are independent; fan them out.
   ParallelFor(0, world, 1, [&](int64_t ri) {
@@ -43,14 +44,14 @@ LayerExecution MegatronExecutor::Run(const MoeWorkload& workload,
     sim.HostWork("routing-bookkeeping",
                  kAuxRoutingKernels * costs.LaunchUs());
     launch("permute", OpCategory::kLayer0Comp, q.permute_us);
-    launch("a2a-dispatch", OpCategory::kLayer0Comm, q.a2a_dispatch_us);
+    launch("a2a-dispatch", OpCategory::kLayer0Comm, coll.a2a_dispatch_us);
     launch("gemm0", OpCategory::kLayer0Comp, q.gemm0_us);
     launch("activation", OpCategory::kActivation, q.activation_us);
     launch("gemm1", OpCategory::kLayer1Comp, q.gemm1_us);
-    launch("a2a-return", OpCategory::kLayer1Comm, q.a2a_return_us);
-    if (q.tp_reduce_scatter_us > 0.0) {
+    launch("a2a-return", OpCategory::kLayer1Comm, coll.a2a_return_us);
+    if (coll.tp_reduce_scatter_us > 0.0) {
       launch("tp-reduce-scatter", OpCategory::kLayer1Comm,
-             q.tp_reduce_scatter_us);
+             coll.tp_reduce_scatter_us);
     }
     launch("unpermute-combine", OpCategory::kLayer1Comp, q.unpermute_us);
 

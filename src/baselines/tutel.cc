@@ -1,5 +1,6 @@
 #include "baselines/tutel.h"
 
+#include <iterator>
 #include <limits>
 
 #include "moe/reference_layer.h"
@@ -11,7 +12,9 @@ namespace comet {
 
 double TutelExecutor::SimulateRank(const MoeWorkload& workload,
                                    const OpCostModel& costs, int rank,
-                                   int degree, Timeline* timeline) const {
+                                   int degree,
+                                   const BaselineCollectives& coll,
+                                   Timeline* timeline) const {
   const BaselineQuantities q =
       ComputeQuantities(workload, costs, rank, 0.85, 1.0 / degree);
   const double host_sched_us =
@@ -41,7 +44,7 @@ double TutelExecutor::SimulateRank(const MoeWorkload& workload,
   for (int c = 0; c < degree; ++c) {
     a2a[static_cast<size_t>(c)] = sim.Launch(
         comm, "2d-a2a-dispatch", OpCategory::kLayer0Comm,
-        q.a2a_dispatch_us * kHierarchicalCommFactor,
+        coll.a2a_dispatch_us * kHierarchicalCommFactor,
         {encode[static_cast<size_t>(c)]});
   }
   for (int c = 0; c < degree; ++c) {
@@ -55,12 +58,12 @@ double TutelExecutor::SimulateRank(const MoeWorkload& workload,
   for (int c = 0; c < degree; ++c) {
     ret[static_cast<size_t>(c)] = sim.Launch(
         comm, "2d-a2a-return", OpCategory::kLayer1Comm,
-        q.a2a_return_us * kHierarchicalCommFactor,
+        coll.a2a_return_us * kHierarchicalCommFactor,
         {gemm1[static_cast<size_t>(c)]});
-    if (q.tp_reduce_scatter_us > 0.0) {
+    if (coll.tp_reduce_scatter_us > 0.0) {
       ret[static_cast<size_t>(c)] = sim.Launch(
           comm, "tp-reduce-scatter", OpCategory::kLayer1Comm,
-          q.tp_reduce_scatter_us, {ret[static_cast<size_t>(c)]});
+          coll.tp_reduce_scatter_us, {ret[static_cast<size_t>(c)]});
     }
   }
   for (int c = 0; c < degree; ++c) {
@@ -82,16 +85,21 @@ LayerExecution TutelExecutor::Run(const MoeWorkload& workload,
 
   // Heuristic search: pick the pipeline degree minimizing rank 0's latency
   // (Tutel tunes on a sampled rank, not the global critical path -- part of
-  // why its choice can be sub-optimal).
+  // why its choice can be sub-optimal). Each degree's collectives are
+  // computed once; the fan-out reuses those of the chosen degree.
   double best = std::numeric_limits<double>::infinity();
-  int best_degree = kDegrees[0];
-  for (int d : kDegrees) {
-    const double t = SimulateRank(workload, costs, 0, d, nullptr);
+  size_t best_index = 0;
+  BaselineCollectives coll[std::size(kDegrees)];
+  for (size_t i = 0; i < std::size(kDegrees); ++i) {
+    coll[i] = ComputeCollectives(workload, costs, 1.0 / kDegrees[i]);
+    const double t =
+        SimulateRank(workload, costs, 0, kDegrees[i], coll[i], nullptr);
     if (t < best) {
       best = t;
-      best_degree = d;
+      best_index = i;
     }
   }
+  const int best_degree = kDegrees[best_index];
   last_degree_ = best_degree;
 
   const int world = workload.world();
@@ -101,7 +109,7 @@ LayerExecution TutelExecutor::Run(const MoeWorkload& workload,
   ParallelFor(0, world, 1, [&](int64_t r) {
     per_rank[static_cast<size_t>(r)] =
         SimulateRank(workload, costs, static_cast<int>(r), best_degree,
-                     &timelines[static_cast<size_t>(r)]);
+                     coll[best_index], &timelines[static_cast<size_t>(r)]);
   });
   FinalizeFromRanks(std::move(per_rank), std::move(timelines), out);
 

@@ -26,8 +26,11 @@ class TutelExecutor : public MoeLayerExecutor {
   int last_pipeline_degree() const { return last_degree_; }
 
  private:
+  // `coll` holds the collectives of one chunk at `degree`.
   double SimulateRank(const MoeWorkload& workload, const OpCostModel& costs,
-                      int rank, int degree, Timeline* timeline) const;
+                      int rank, int degree,
+                      const BaselineCollectives& coll,
+                      Timeline* timeline) const;
 
   // The limited search space of pipeline degrees.
   static constexpr int kDegrees[3] = {1, 2, 4};

@@ -29,14 +29,18 @@ std::vector<int> AdaptiveAssigner::Candidates(int total_blocks) const {
 std::vector<DivisionPointSample> AdaptiveAssigner::Sweep(
     MoePipelineStage stage, const RoutePlan& plan, int rank,
     const OpCostModel& costs, const FusedKernelConfig& base) const {
+  // Prepare once; each candidate only re-runs the nc-dependent Evaluate
+  // step, with no timeline.
+  FusedKernelWorkspace ws;
+  if (stage == MoePipelineStage::kLayer0) {
+    PrepareLayer0Fused(plan, rank, costs, base, ws);
+  } else {
+    PrepareLayer1Fused(plan, rank, costs, base, ws);
+  }
+  FusedKernelResult result;
   std::vector<DivisionPointSample> samples;
   for (int nc : Candidates(base.total_blocks)) {
-    FusedKernelConfig config = base;
-    config.comm_blocks = nc;
-    const FusedKernelResult result =
-        stage == MoePipelineStage::kLayer0
-            ? SimulateLayer0Fused(plan, rank, costs, config)
-            : SimulateLayer1Fused(plan, rank, costs, config);
+    EvaluateFused(nc, /*record_timeline=*/false, ws, &result);
     samples.push_back(DivisionPointSample{nc, result.duration_us});
   }
   return samples;
@@ -57,10 +61,15 @@ int AdaptiveAssigner::SelectCommBlocks(MoePipelineStage stage,
                                        const OpCostModel& costs,
                                        const FusedKernelConfig& base,
                                        MetadataStore* store) const {
-  const std::string key =
-      ProfileKey(costs.cluster(), plan.placement(), stage);
+  std::string key;
   if (store != nullptr) {
+    key = ProfileKey(costs.cluster(), plan.placement(), stage);
     if (auto cached = store->GetInt(key)) {
+      // The store may come from a file: reject a value no kernel exists for
+      // here, naming it, rather than failing later inside the simulator.
+      COMET_CHECK(*cached >= 1 && *cached <= base.total_blocks - 1)
+          << "cached division point " << key << " = " << *cached
+          << " is outside [1, " << base.total_blocks - 1 << "]";
       return static_cast<int>(*cached);
     }
   }

@@ -39,7 +39,10 @@ class AdaptiveAssigner {
 
   // Simulates every candidate for this stage/rank; returns samples in
   // candidate order. `base` supplies tile sizes and flags; its comm_blocks
-  // field is ignored.
+  // field is ignored. The nc-free half of the fused-kernel simulation
+  // (Prepare*) runs once; each candidate is one EvaluateFused(nc) on the
+  // same workspace with no timeline, so every sample equals the whole
+  // Simulate*Fused(nc) duration bit for bit.
   std::vector<DivisionPointSample> Sweep(MoePipelineStage stage,
                                          const RoutePlan& plan, int rank,
                                          const OpCostModel& costs,
@@ -50,7 +53,9 @@ class AdaptiveAssigner {
                                 const Placement& placement,
                                 MoePipelineStage stage);
 
-  // Returns the optimal nc, consulting / filling `store` when provided.
+  // Returns the optimal nc, consulting / filling `store` when provided. A
+  // cached value outside [1, total_blocks - 1] fails a check that names the
+  // profile key.
   int SelectCommBlocks(MoePipelineStage stage, const RoutePlan& plan, int rank,
                        const OpCostModel& costs, const FusedKernelConfig& base,
                        MetadataStore* store = nullptr) const;

@@ -199,14 +199,13 @@ void CometExecutor::PrepareServing(const Placement& max_placement,
     ws.chunk_seen.reserve(static_cast<size_t>(chunks_max));
     ws.chunk_intra.reserve(static_cast<size_t>(chunks_max));
     ws.chunk_inter.reserve(static_cast<size_t>(chunks_max));
-    ws.chunk_arrival.reserve(static_cast<size_t>(chunks_max));
+    ws.chunk_job.reserve(static_cast<size_t>(chunks_max));
     ws.chunk_order.reserve(static_cast<size_t>(chunks_max));
     ws.tasks.reserve(static_cast<size_t>(tiles_max));
     ws.jobs.reserve(static_cast<size_t>(std::max(chunks_max, col_tiles1)));
-    ws.job_chunks.reserve(static_cast<size_t>(chunks_max));
+    ws.tile_job.reserve(static_cast<size_t>(tiles_max));
     ws.transfers.reserve(static_cast<size_t>(std::max(chunks_max, col_tiles1)));
     ws.slot_heap.reserve(static_cast<size_t>(cluster.gpu.num_sms));
-    ws.panel_done.reserve(static_cast<size_t>(col_tiles1));
     ws.slot_schedule.tasks.reserve(static_cast<size_t>(tiles_max));
     sim.l0.timeline.Clear();
     sim.l1.timeline.Clear();

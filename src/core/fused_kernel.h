@@ -47,7 +47,7 @@ struct FusedKernelResult {
   Timeline timeline;
 };
 
-// Reusable workspace for the Simulate*FusedInto variants below. Owned per
+// Reusable workspace for the Prepare*/EvaluateFused steps below. Owned per
 // rank by the executor; every buffer grows to its high-water mark during
 // warm-up and is then reused allocation-free. Row chunks (the token-delivery
 // unit: tiles of one expert sharing a row range) are addressed by the flat
@@ -60,16 +60,50 @@ struct FusedKernelWorkspace {
   std::vector<char> chunk_seen;       // first-use dedup flag per chunk
   std::vector<double> chunk_intra;    // remote bytes per chunk, intra-node
   std::vector<double> chunk_inter;    // remote bytes per chunk, inter-node
-  std::vector<double> chunk_arrival;  // delivery time per chunk (0 = local)
+  std::vector<int64_t> chunk_job;     // transfer job per chunk (-1 = local)
   std::vector<int64_t> chunk_order;   // chunk ids in tile first-use order
+  // The kernel the last Prepare* call built, which EvaluateFused runs:
+  // per-tile tasks (durations fixed; layer0 ready times refilled by each
+  // evaluation), the channel's jobs (layer1 ready times likewise), and the
+  // transfer job each tile waits on (layer0: the delivery of its rows) or
+  // feeds (layer1: the send of its column panel).
+  bool is_layer1 = false;
+  bool vertical_fusion = false;
+  int total_blocks = 0;
+  double comm_bytes = 0.0;
+  double channel_per_block_rate = 0.0;  // bytes/us one comm block sustains
+  double channel_port_rate = 0.0;       // bytes/us cap of the port
+  double channel_latency_us = 0.0;
   std::vector<SlotTask> tasks;
   std::vector<TransferJob> jobs;
-  std::vector<int64_t> job_chunks;    // chunk id of each transfer job
+  std::vector<int64_t> tile_job;
+  // Outputs of the last evaluation.
   std::vector<TransferResult> transfers;
   std::vector<double> slot_heap;
-  std::vector<double> panel_done;
   SlotSchedule slot_schedule;
 };
+
+// The simulation splits into two steps, so a division-point sweep pays for
+// the nc-free work once:
+//   - Prepare*: everything that does not depend on nc -- the (rescheduled)
+//     tile schedule, the chunk order, the per-chunk tier split, the channel
+//     jobs' bytes and rates, and the tile cost. `config.comm_blocks` is
+//     ignored.
+//   - EvaluateFused(nc): the channel bandwidth of nc blocks, the
+//     BandwidthQueue and the in-order slot schedule on total_blocks - nc
+//     blocks. It can run any number of times on one prepared workspace;
+//     each run fully rebuilds `result` and records its per-tile timeline
+//     only when `record_timeline` is set.
+void PrepareLayer0Fused(const RoutePlan& plan, int rank,
+                        const OpCostModel& costs,
+                        const FusedKernelConfig& config,
+                        FusedKernelWorkspace& ws);
+void PrepareLayer1Fused(const RoutePlan& plan, int rank,
+                        const OpCostModel& costs,
+                        const FusedKernelConfig& config,
+                        FusedKernelWorkspace& ws);
+void EvaluateFused(int comm_blocks, bool record_timeline,
+                   FusedKernelWorkspace& ws, FusedKernelResult* result);
 
 // Simulates the layer0 fused kernel (dispatch + GroupGEMM) on `rank`.
 FusedKernelResult SimulateLayer0Fused(const RoutePlan& plan, int rank,
@@ -82,9 +116,10 @@ FusedKernelResult SimulateLayer1Fused(const RoutePlan& plan, int rank,
                                       const OpCostModel& costs,
                                       const FusedKernelConfig& config);
 
-// Allocation-free rebuild variants: identical numbers and timeline to the
-// functions above, built into `result` (timeline cleared and refilled; all
-// labels fit SSO) using `ws` for every intermediate.
+// Allocation-free rebuild variants: Prepare then Evaluate at
+// `config.comm_blocks` with the timeline, built into `result` (timeline
+// cleared and refilled; all labels fit SSO) using `ws` for every
+// intermediate.
 void SimulateLayer0FusedInto(const RoutePlan& plan, int rank,
                              const OpCostModel& costs,
                              const FusedKernelConfig& config,

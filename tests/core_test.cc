@@ -9,6 +9,7 @@
 #include "core/fused_kernel.h"
 #include "core/reschedule.h"
 #include "exec/op_costs.h"
+#include "hw/gpu_spec.h"
 #include "moe/workload.h"
 #include "util/check.h"
 
@@ -272,6 +273,151 @@ TEST(Adaptive, SelectionCachedInMetadataStore) {
   EXPECT_EQ(assigner.SelectCommBlocks(MoePipelineStage::kLayer1, w.plan, 0,
                                       costs, base, &store),
             77);
+}
+
+TEST(Adaptive, CachedValueOutsideKernelRangeRejectedNamingKey) {
+  const MoeWorkload w = SmallWorkload(1, 4, 2048);
+  const ClusterSpec cluster = H800Cluster(4);
+  const OpCostModel costs(cluster);
+  const AdaptiveAssigner assigner(2);
+  FusedKernelConfig base;
+  base.total_blocks = cluster.gpu.num_sms;
+  const std::string key = AdaptiveAssigner::ProfileKey(
+      cluster, w.placement, MoePipelineStage::kLayer0);
+  for (const int64_t stale : {int64_t{500}, int64_t{0}, int64_t{-3},
+                              int64_t{base.total_blocks}}) {
+    MetadataStore store;
+    store.PutInt(key, stale);
+    try {
+      assigner.SelectCommBlocks(MoePipelineStage::kLayer0, w.plan, 0, costs,
+                                base, &store);
+      ADD_FAILURE() << "cached nc " << stale << " was accepted";
+    } catch (const CheckError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(key), std::string::npos) << what;
+      EXPECT_NE(what.find(std::to_string(stale)), std::string::npos) << what;
+    }
+  }
+  // Both ends of the kernel range are honoured.
+  for (const int64_t edge : {int64_t{1}, int64_t{base.total_blocks - 1}}) {
+    MetadataStore store;
+    store.PutInt(key, edge);
+    EXPECT_EQ(assigner.SelectCommBlocks(MoePipelineStage::kLayer0, w.plan, 0,
+                                        costs, base, &store),
+              edge);
+  }
+}
+
+// Sweep prepares the nc-free half of the fused-kernel simulation once and
+// evaluates each candidate on that workspace with no timeline. Every sample
+// must equal a whole Simulate*Fused(nc) bit for bit. On a workspace reused
+// across ranks and stages, evaluating the candidates in reverse order must
+// reproduce the samples (no evaluation depends on the one before it), and a
+// timeline-recording evaluation at the chosen nc must give the same
+// duration.
+void ExpectSweepMatchesWholeSimulations(const MoeWorkload& w,
+                                        const ClusterSpec& cluster,
+                                        bool reschedule) {
+  const OpCostModel costs(cluster);
+  const AdaptiveAssigner assigner(2);
+  FusedKernelConfig base;
+  base.total_blocks = cluster.gpu.num_sms;
+  base.reschedule = reschedule;
+  FusedKernelWorkspace reused;
+  FusedKernelResult recorded;
+  for (const int rank : {0, w.world() - 1}) {
+    for (const MoePipelineStage stage :
+         {MoePipelineStage::kLayer0, MoePipelineStage::kLayer1}) {
+      const bool layer0 = stage == MoePipelineStage::kLayer0;
+      const auto whole = [&](int nc) {
+        FusedKernelConfig config = base;
+        config.comm_blocks = nc;
+        return layer0 ? SimulateLayer0Fused(w.plan, rank, costs, config)
+                      : SimulateLayer1Fused(w.plan, rank, costs, config);
+      };
+      const auto samples = assigner.Sweep(stage, w.plan, rank, costs, base);
+      ASSERT_EQ(samples.size(), assigner.Candidates(base.total_blocks).size());
+      size_t best = 0;
+      for (size_t i = 0; i < samples.size(); ++i) {
+        EXPECT_EQ(samples[i].duration_us,
+                  whole(samples[i].comm_blocks).duration_us)
+            << "rank " << rank << " layer" << (layer0 ? 0 : 1) << " nc "
+            << samples[i].comm_blocks;
+        if (samples[i].duration_us < samples[best].duration_us) {
+          best = i;
+        }
+      }
+      const int nc = assigner.SelectCommBlocks(stage, w.plan, rank, costs,
+                                               base);
+      EXPECT_EQ(nc, samples[best].comm_blocks);
+      if (layer0) {
+        PrepareLayer0Fused(w.plan, rank, costs, base, reused);
+      } else {
+        PrepareLayer1Fused(w.plan, rank, costs, base, reused);
+      }
+      for (size_t i = samples.size(); i-- > 0;) {
+        EvaluateFused(samples[i].comm_blocks, /*record_timeline=*/false,
+                      reused, &recorded);
+        EXPECT_EQ(recorded.duration_us, samples[i].duration_us)
+            << "reverse order, nc " << samples[i].comm_blocks;
+        EXPECT_TRUE(recorded.timeline.empty());
+      }
+      EvaluateFused(nc, /*record_timeline=*/true, reused, &recorded);
+      EXPECT_EQ(recorded.duration_us, samples[best].duration_us);
+      ASSERT_FALSE(recorded.timeline.empty());
+      EXPECT_EQ(recorded.timeline.SpanEnd(), recorded.duration_us);
+    }
+  }
+}
+
+TEST(Adaptive, SweepSamplesEqualWholeSimulationsSingleNode) {
+  const ClusterSpec cluster = H800Cluster(8);
+  for (const bool reschedule : {true, false}) {
+    SCOPED_TRACE(reschedule ? "reschedule on" : "reschedule off");
+    ExpectSweepMatchesWholeSimulations(SmallWorkload(1, 8, 2048), cluster,
+                                       reschedule);
+    ExpectSweepMatchesWholeSimulations(SmallWorkload(2, 4, 2048), cluster,
+                                       reschedule);
+  }
+}
+
+TEST(Adaptive, SweepSamplesEqualWholeSimulationsAcrossNodes) {
+  for (const bool reschedule : {true, false}) {
+    SCOPED_TRACE(reschedule ? "reschedule on" : "reschedule off");
+    // EP spans two nodes: the inter-node tier carries part of the traffic.
+    ExpectSweepMatchesWholeSimulations(SmallWorkload(1, 8, 2048),
+                                       MultiNodeH800Cluster(2, 4), reschedule);
+    // Two GPUs per node and TP = 4: every TP group spans nodes.
+    ExpectSweepMatchesWholeSimulations(SmallWorkload(4, 2, 2048),
+                                       MultiNodeH800Cluster(4, 2), reschedule);
+  }
+}
+
+TEST(Adaptive, SweepSamplesEqualWholeSimulationsWithoutRemoteBytes) {
+  // EP = 1: no remote rows, so layer0 moves nothing and layer1 carries only
+  // the TP reduce-scatter.
+  const MoeWorkload w = SmallWorkload(8, 1, 2048);
+  const ClusterSpec cluster = H800Cluster(8);
+  const FusedKernelResult l0 = SimulateLayer0Fused(
+      w.plan, 0, OpCostModel(cluster),
+      FusedKernelConfig{.total_blocks = cluster.gpu.num_sms, .comm_blocks = 8});
+  EXPECT_EQ(l0.comm_bytes, 0.0);
+  for (const bool reschedule : {true, false}) {
+    SCOPED_TRACE(reschedule ? "reschedule on" : "reschedule off");
+    ExpectSweepMatchesWholeSimulations(w, cluster, reschedule);
+  }
+}
+
+TEST(Adaptive, SweepSamplesEqualWholeSimulationsUnderSkew) {
+  // A heavily skewed SyntheticRouter load: hot experts get many row chunks,
+  // cold ones few or none.
+  for (const bool reschedule : {true, false}) {
+    SCOPED_TRACE(reschedule ? "reschedule on" : "reschedule off");
+    ExpectSweepMatchesWholeSimulations(SmallWorkload(1, 8, 2048, 0.08),
+                                       H800Cluster(8), reschedule);
+    ExpectSweepMatchesWholeSimulations(SmallWorkload(2, 4, 2048, 0.08),
+                                       MultiNodeH800Cluster(2, 4), reschedule);
+  }
 }
 
 TEST(Adaptive, ProfileKeyDistinguishesSetups) {
