@@ -8,6 +8,7 @@
 #include "core/comet_stages.h"
 #include "core/fused_kernel.h"
 #include "core/reschedule.h"
+#include "moe/activation.h"
 #include "moe/group_gemm.h"
 #include "runtime/rank_group.h"
 #include "util/check.h"
@@ -154,7 +155,8 @@ LayerExecution CometExecutor::Run(const MoeWorkload& workload,
 }
 
 void CometExecutor::PrepareServing(const Placement& max_placement,
-                                   const ClusterSpec& cluster) {
+                                   const ClusterSpec& cluster,
+                                   ActivationKind activation) {
   COMET_CHECK_EQ(cluster.world_size, max_placement.world());
   // Resolve concurrency and warm thread-locals under the same thread limit
   // the iterations will install.
@@ -253,6 +255,7 @@ void CometExecutor::PrepareServing(const Placement& max_placement,
   state.fn.group.Configure(
       world, RankGroupOptions{.num_threads = options_.num_threads});
   state.fn.group.Run(warm);
+  PrepareActivationTable(activation, options_.compute_dtype);
 }
 
 void CometExecutor::RunBatchInto(const MoeWorkload& workload,

@@ -105,11 +105,14 @@ class CometExecutor : public MoeLayerExecutor {
   // thread-safe: one serving loop per executor.
 
   // Preallocates serving workspaces for batches up to `max_placement`'s
-  // token count (its model/parallel shape must match the batches served).
+  // token count (its model/parallel shape must match the batches served),
+  // and builds the activation table of (`activation`, compute_dtype) -- the
+  // activation the served workloads carry (see moe/activation.h).
   // Call once before the loop; allocates, so keep it outside any
   // allocation-counting window. Idempotent.
   void PrepareServing(const Placement& max_placement,
-                      const ClusterSpec& cluster);
+                      const ClusterSpec& cluster,
+                      ActivationKind activation = ActivationKind::kGelu);
 
   // Runs one batch (Run semantics plus the adaptive-profile cache) into
   // `*out` in place. After PrepareServing and one warm-up call per distinct

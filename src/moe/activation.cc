@@ -1,6 +1,11 @@
 #include "moe/activation.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <mutex>
+#include <type_traits>
+#include <vector>
 
 #include "util/check.h"
 #include "util/thread_pool.h"
@@ -16,6 +21,116 @@ float GeluScalar(float x) {
 
 float SiluScalar(float x) { return x / (1.0f + std::exp(-x)); }
 
+namespace {
+
+// The scalar path of ApplyActivationTile for one element: the element
+// function in f32, rounded on store to `dtype` (the identity at kF32).
+float ActivationRounded(ActivationKind kind, DType dtype, float x) {
+  switch (kind) {
+    case ActivationKind::kGelu:
+      x = GeluScalar(x);
+      break;
+    case ActivationKind::kSilu:
+      x = SiluScalar(x);
+      break;
+    case ActivationKind::kRelu:
+      x = x > 0.0f ? x : 0.0f;
+      break;
+    case ActivationKind::kIdentity:
+      break;
+  }
+  return QuantizeScalar(x, dtype);
+}
+
+constexpr uint32_t kPatterns = 1u << 16;
+
+enum class TableKind { kForward, kGrad };
+
+// The lookup table of (which, kind, dtype): entry p holds the scalar path's
+// result at the f32 value that pattern p names -- ActivationRounded for
+// kForward, ActivationGradScalar (unrounded) for kGrad. Built on first use,
+// once per process, by the same scalar functions (so with this binary's
+// libm); later calls only read it. kind != kIdentity, dtype != kF32.
+const float* Table(TableKind which, ActivationKind kind, DType dtype) {
+  constexpr size_t kKinds = 3;  // GELU, SiLU, ReLU
+  static std::once_flag built[2][kKinds][2];
+  static std::vector<float> tables[2][kKinds][2];
+  const size_t w = which == TableKind::kForward ? 0 : 1;
+  const size_t k = static_cast<size_t>(kind);
+  const size_t d = dtype == DType::kBF16 ? 0 : 1;
+  COMET_CHECK_LT(k, kKinds);
+  COMET_CHECK(dtype != DType::kF32);
+  std::call_once(built[w][k][d], [&] {
+    std::vector<float>& table = tables[w][k][d];
+    table.resize(kPatterns);
+    for (uint32_t p = 0; p < kPatterns; ++p) {
+      const uint16_t pattern = static_cast<uint16_t>(p);
+      const float x = dtype == DType::kBF16 ? Bf16ToF32(pattern)
+                                            : F16ToF32(pattern);
+      table[p] = which == TableKind::kForward
+                     ? ActivationRounded(kind, dtype, x)
+                     : ActivationGradScalar(kind, x);
+    }
+  });
+  return tables[w][k][d].data();
+}
+
+// The 16-bit pattern at kDType whose decode is bitwise `x`, or -1 when `x`
+// is not one (a raw unrounded write).
+template <DType kDType>
+int32_t ExactPattern16(float x) {
+  const uint32_t bits = std::bit_cast<uint32_t>(x);
+  if constexpr (kDType == DType::kBF16) {
+    return (bits & 0xffffu) == 0 ? static_cast<int32_t>(bits >> 16) : -1;
+  } else {
+    const uint16_t half = F32ToF16(x);
+    return std::bit_cast<uint32_t>(F16ToF32(half)) == bits
+               ? static_cast<int32_t>(half)
+               : -1;
+  }
+}
+
+// The table entry for `x`'s 16-bit pattern at kDType, or scalar(x) when x is
+// not one (always at kF32, which has no table).
+template <DType kDType, typename Scalar>
+float Lookup(const float* table, float x, Scalar scalar) {
+  if constexpr (kDType == DType::kF32) {
+    return scalar(x);
+  } else {
+    const int32_t pattern = ExactPattern16<kDType>(x);
+    return pattern >= 0 ? table[pattern] : scalar(x);
+  }
+}
+
+// Calls body(std::integral_constant<DType, dtype>, table) with `dtype` as a
+// compile-time constant and the table of (which, kind, dtype) -- null at
+// kF32 -- so the element loops carry no per-element dtype branch.
+template <typename Body>
+void WithTable(TableKind which, ActivationKind kind, DType dtype, Body body) {
+  switch (dtype) {
+    case DType::kF32:
+      body(std::integral_constant<DType, DType::kF32>{}, nullptr);
+      return;
+    case DType::kBF16:
+      body(std::integral_constant<DType, DType::kBF16>{},
+           Table(which, kind, dtype));
+      return;
+    case DType::kF16:
+      body(std::integral_constant<DType, DType::kF16>{},
+           Table(which, kind, dtype));
+      return;
+  }
+  COMET_CHECK(false) << "unknown dtype";
+}
+
+}  // namespace
+
+void PrepareActivationTable(ActivationKind kind, DType dtype) {
+  if (kind != ActivationKind::kIdentity && dtype != DType::kF32) {
+    Table(TableKind::kForward, kind, dtype);
+  }
+}
+
 void ApplyActivationTile(Tensor& t, ActivationKind kind, int64_t row_begin,
                          int64_t row_end, int64_t col_begin, int64_t col_end) {
   COMET_CHECK_EQ(t.shape().rank(), 2u);
@@ -30,30 +145,22 @@ void ApplyActivationTile(Tensor& t, ActivationKind kind, int64_t row_begin,
   }
   // At 2-byte dtypes the element function is computed in f32 and rounded on
   // store (RNE) -- same contract as the GEMM epilogue, and per-element pure,
-  // so tiling/threading never changes results.
-  const DType dtype = t.dtype();
-  for (int64_t r = row_begin; r < row_end; ++r) {
-    auto row = t.row(r);
-    for (int64_t c = col_begin; c < col_end; ++c) {
-      float& x = row[static_cast<size_t>(c)];
-      switch (kind) {
-        case ActivationKind::kGelu:
-          x = GeluScalar(x);
-          break;
-        case ActivationKind::kSilu:
-          x = SiluScalar(x);
-          break;
-        case ActivationKind::kRelu:
-          x = x > 0.0f ? x : 0.0f;
-          break;
-        case ActivationKind::kIdentity:
-          break;
-      }
-      if (dtype != DType::kF32) {
-        x = QuantizeScalar(x, dtype);
-      }
-    }
-  }
+  // so tiling/threading never changes results. The table holds exactly that
+  // scalar result per 16-bit input pattern.
+  WithTable(TableKind::kForward, kind, t.dtype(),
+            [&](auto dtype_constant, const float* table) {
+              constexpr DType kDType = decltype(dtype_constant)::value;
+              const auto scalar = [&](float x) {
+                return ActivationRounded(kind, kDType, x);
+              };
+              for (int64_t r = row_begin; r < row_end; ++r) {
+                auto row = t.row(r);
+                for (int64_t c = col_begin; c < col_end; ++c) {
+                  float& x = row[static_cast<size_t>(c)];
+                  x = Lookup<kDType>(table, x, scalar);
+                }
+              }
+            });
 }
 
 void ApplyActivation(Tensor& t, ActivationKind kind) {
@@ -104,19 +211,27 @@ void ApplyActivationGradTile(Tensor& grad, const Tensor& pre,
     return;
   }
   // f32 multiply, round on store at 2-byte dtypes (per-element pure; see
-  // ApplyActivationTile).
+  // ApplyActivationTile). act' comes from the table of `pre`'s dtype.
   const DType dtype = grad.dtype();
-  for (int64_t r = row_begin; r < row_end; ++r) {
-    auto grow = grad.row(r);
-    const auto prow = pre.row(r);
-    for (int64_t c = col_begin; c < col_end; ++c) {
-      float& g = grow[static_cast<size_t>(c)];
-      g *= ActivationGradScalar(kind, prow[static_cast<size_t>(c)]);
-      if (dtype != DType::kF32) {
-        g = QuantizeScalar(g, dtype);
-      }
-    }
-  }
+  WithTable(TableKind::kGrad, kind, pre.dtype(),
+            [&](auto pre_dtype_constant, const float* table) {
+              constexpr DType kPreDType = decltype(pre_dtype_constant)::value;
+              const auto scalar = [&](float x) {
+                return ActivationGradScalar(kind, x);
+              };
+              for (int64_t r = row_begin; r < row_end; ++r) {
+                auto grow = grad.row(r);
+                const auto prow = pre.row(r);
+                for (int64_t c = col_begin; c < col_end; ++c) {
+                  float& g = grow[static_cast<size_t>(c)];
+                  g *= Lookup<kPreDType>(table, prow[static_cast<size_t>(c)],
+                                         scalar);
+                  if (dtype != DType::kF32) {
+                    g = QuantizeScalar(g, dtype);
+                  }
+                }
+              }
+            });
 }
 
 void ApplyActivationGrad(Tensor& grad, const Tensor& pre,

@@ -155,15 +155,20 @@ void GateNetwork::RouteInto(const Tensor& tokens, int64_t topk,
   std::vector<float>& probs = scratch.probs;
   logits.resize(static_cast<size_t>(e_total));
   probs.resize(static_cast<size_t>(e_total));
+  // Row-major (N, E): row n holds w[n, 0..E).
+  const float* w = gate_weight_.data().data();
   for (int64_t m = 0; m < tokens.rows(); ++m) {
     const auto x = tokens.row(m);
-    for (int64_t e = 0; e < e_total; ++e) {
-      float acc = 0.0f;
-      for (int64_t n = 0; n < tokens.cols(); ++n) {
-        acc += x[static_cast<size_t>(n)] *
-               gate_weight_.at({n, e});
+    // logits[e] = sum over n of x[n] * w[n, e], summed in ascending n from
+    // 0.0f. Looping n-outer keeps that order per logit while reading w by
+    // rows; the build's -ffp-contract=off keeps multiply and add unfused.
+    std::fill(logits.begin(), logits.end(), 0.0f);
+    for (int64_t n = 0; n < tokens.cols(); ++n) {
+      const float xn = x[static_cast<size_t>(n)];
+      const float* w_row = w + n * e_total;
+      for (int64_t e = 0; e < e_total; ++e) {
+        logits[static_cast<size_t>(e)] += xn * w_row[e];
       }
-      logits[static_cast<size_t>(e)] = acc;
     }
     // Softmax (max-subtracted) over all experts.
     const float max_logit = *std::max_element(logits.begin(), logits.end());

@@ -72,6 +72,9 @@ constexpr uint64_t kCorruptStream = 0xbadb17f11b5eed5ULL;
 // keeping them independent of the weight/gate/decode streams.
 constexpr uint64_t kSyntheticStream = 0x5c13f1c5eedf00dULL;
 
+// The experts' activation on the serving plane.
+constexpr ActivationKind kServeActivation = ActivationKind::kGelu;
+
 }  // namespace
 
 // Pooled: a released LiveRequest keeps the capacity of its prompt tensor,
@@ -179,7 +182,7 @@ struct MoeServer::RunState {
     }
     workload.weights = std::move(weights);
     workload.sharded_weights = std::move(sharded);
-    workload.activation = ActivationKind::kGelu;
+    workload.activation = kServeActivation;
     gate_scratch.logits.reserve(
         static_cast<size_t>(options.model.num_experts));
     gate_scratch.probs.reserve(static_cast<size_t>(options.model.num_experts));
@@ -294,7 +297,7 @@ MoeServer::MoeServer(ServeOptions options, ClusterSpec cluster)
   // largest batch this server can pack.
   const Placement max_placement(options_.model, options_.parallel,
                                 MaxPaddedTokens(options_));
-  executor_.PrepareServing(max_placement, cluster_);
+  executor_.PrepareServing(max_placement, cluster_, kServeActivation);
 }
 
 MoeServer::~MoeServer() = default;

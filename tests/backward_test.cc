@@ -3,7 +3,12 @@
 // dense-vs-sharded consistency.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <tuple>
 
 #include "moe/activation.h"
 #include "moe/backward.h"
@@ -160,6 +165,81 @@ TEST(ActivationGrad, TileMatchesWhole) {
   }
   EXPECT_EQ(Tensor::MaxAbsDiff(whole, tiled), 0.0f);
 }
+
+// Backward by table: act'(pre) is read from a table indexed by pre's 16-bit
+// pattern. Each element of `grad` must hold exactly what the scalar path
+// stores: g * ActivationGradScalar(kind, pre), rounded to grad's dtype.
+void ExpectGradScalarPathBits(const Tensor& pre, ActivationKind kind,
+                              DType grad_dtype) {
+  Rng rng(23);
+  const Tensor grad_in = Tensor::Randn(pre.shape(), rng, 1.0f, grad_dtype);
+  Tensor grad = grad_in;
+  ApplyActivationGrad(grad, pre, kind);
+  const auto p = pre.data();
+  const auto g_in = grad_in.data();
+  const auto g = grad.data();
+  int64_t mismatches = 0;
+  for (size_t i = 0; i < p.size(); ++i) {
+    float want = g_in[i];
+    want *= ActivationGradScalar(kind, p[i]);
+    if (grad_dtype != DType::kF32) {
+      want = QuantizeScalar(want, grad_dtype);
+    }
+    const uint32_t want_bits = std::bit_cast<uint32_t>(want);
+    const uint32_t have_bits = std::bit_cast<uint32_t>(g[i]);
+    if (have_bits != want_bits && mismatches++ == 0) {
+      EXPECT_EQ(have_bits, want_bits)
+          << "first mismatch at pre bits 0x" << std::hex
+          << std::bit_cast<uint32_t>(p[i]);
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+// Test name suffix "<kind>_<dtype>", e.g. "gelu_bf16".
+std::string KindDtypeName(
+    const ::testing::TestParamInfo<std::tuple<ActivationKind, DType>>& info) {
+  constexpr const char* kKinds[] = {"gelu", "silu", "relu"};
+  return std::string(kKinds[static_cast<int>(std::get<0>(info.param))]) +
+         "_" + DTypeName(std::get<1>(info.param));
+}
+
+class ActivationGradTableTest
+    : public ::testing::TestWithParam<std::tuple<ActivationKind, DType>> {};
+
+TEST_P(ActivationGradTableTest, EveryPatternMatchesScalarPathBitwise) {
+  const auto [kind, dtype] = GetParam();
+  // Element p names the f32 value of 16-bit pattern p: NaNs, infinities,
+  // signed zeros and subnormals included.
+  Tensor pre(Shape{256, 256}, dtype);
+  auto data = pre.data();
+  for (uint32_t p = 0; p < (1u << 16); ++p) {
+    const uint16_t bits = static_cast<uint16_t>(p);
+    data[p] = dtype == DType::kBF16 ? Bf16ToF32(bits) : F16ToF32(bits);
+  }
+  // An f32 grad keeps the derivative unrounded; a grad at pre's dtype adds
+  // the round on store.
+  ExpectGradScalarPathBits(pre, kind, DType::kF32);
+  ExpectGradScalarPathBits(pre, kind, dtype);
+}
+
+TEST_P(ActivationGradTableTest, UnroundedPreTakesScalarPath) {
+  const auto [kind, dtype] = GetParam();
+  Rng rng(29);
+  const Tensor raw = Tensor::Randn(Shape{64, 64}, rng, 3.0f, DType::kF32);
+  Tensor pre(raw.shape(), dtype);
+  std::copy(raw.data().begin(), raw.data().end(), pre.data().begin());
+  pre.data()[0] = 1.0f + 0x1p-20f;
+  ExpectGradScalarPathBits(pre, kind, DType::kF32);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    KindsByDtype, ActivationGradTableTest,
+    ::testing::Combine(::testing::Values(ActivationKind::kGelu,
+                                         ActivationKind::kSilu,
+                                         ActivationKind::kRelu),
+                       ::testing::Values(DType::kBF16, DType::kF16)),
+    KindDtypeName);
 
 // ---- finite-difference checks of the dense reference -------------------------
 

@@ -2,7 +2,13 @@
 // GroupGEMM tiles, activations, sharded weights and the reference layers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "moe/activation.h"
 #include "moe/config.h"
@@ -14,6 +20,7 @@
 #include "moe/workload.h"
 #include "util/check.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace comet {
 namespace {
@@ -95,6 +102,109 @@ TEST(GateNetwork, WeightsAreNormalized) {
   const Tensor tokens = Tensor::Randn(Shape{5, 8}, rng);
   const RoutingTable table = network.Route(tokens, 3);
   table.Validate(6, 3);
+}
+
+// The gate as it read its weights before RouteInto went row-major: one at()
+// per multiply-add, e-outer and n-inner, then the same softmax and top-k.
+// Kept as the bit reference; `logits` holds every token's logits.
+RoutingTable ElementwiseGate(const Tensor& gate_weight, const Tensor& tokens,
+                             int64_t topk,
+                             std::vector<std::vector<float>>* logits_out) {
+  const int64_t e_total = gate_weight.cols();
+  RoutingTable table;
+  table.tokens.resize(static_cast<size_t>(tokens.rows()));
+  std::vector<float> logits(static_cast<size_t>(e_total));
+  std::vector<float> probs(static_cast<size_t>(e_total));
+  for (int64_t m = 0; m < tokens.rows(); ++m) {
+    const auto x = tokens.row(m);
+    for (int64_t e = 0; e < e_total; ++e) {
+      float acc = 0.0f;
+      for (int64_t n = 0; n < tokens.cols(); ++n) {
+        acc += x[static_cast<size_t>(n)] * gate_weight.at({n, e});
+      }
+      logits[static_cast<size_t>(e)] = acc;
+    }
+    logits_out->push_back(logits);
+    const float max_logit = *std::max_element(logits.begin(), logits.end());
+    float z = 0.0f;
+    for (size_t e = 0; e < logits.size(); ++e) {
+      probs[e] = std::exp(logits[e] - max_logit);
+      z += probs[e];
+    }
+    for (auto& p : probs) {
+      p /= z;
+    }
+    TokenRoute& route = table.tokens[static_cast<size_t>(m)];
+    float selected_sum = 0.0f;
+    for (int64_t k = 0; k < topk; ++k) {
+      int64_t best = -1;
+      float best_p = 0.0f;
+      for (int64_t e = 0; e < e_total; ++e) {
+        bool taken = false;
+        for (int64_t prev : route.experts) {
+          taken = taken || prev == e;
+        }
+        if (!taken && (best < 0 || probs[static_cast<size_t>(e)] > best_p)) {
+          best = e;
+          best_p = probs[static_cast<size_t>(e)];
+        }
+      }
+      route.experts.push_back(best);
+      route.weights.push_back(best_p);
+      selected_sum += best_p;
+    }
+    for (auto& w : route.weights) {
+      w /= selected_sum;
+    }
+  }
+  return table;
+}
+
+TEST(GateNetwork, RouteIntoIsBitEqualToElementwiseGate) {
+  for (int64_t n : {1, 67}) {
+    for (int64_t e : {1, 7}) {
+      SCOPED_TRACE(testing::Message() << "N=" << n << " E=" << e);
+      Rng rng(static_cast<uint64_t>(100 * n + e));
+      const Tensor weight = Tensor::Randn(Shape{n, e}, rng);
+      Tensor tokens = Tensor::Randn(Shape{5, n}, rng);
+      // A row of negative zeros: every product is a signed zero, and the
+      // sum must still start from +0.0f.
+      std::fill(tokens.row(0).begin(), tokens.row(0).end(), -0.0f);
+      const int64_t topk = e;
+      std::vector<std::vector<float>> want_logits;
+      const RoutingTable want =
+          ElementwiseGate(weight, tokens, topk, &want_logits);
+
+      const GateNetwork network(weight);
+      GateScratch scratch;
+      RoutingTable got;
+      network.RouteInto(tokens, topk, scratch, &got);
+      ASSERT_EQ(got.size(), want.size());
+      for (int64_t m = 0; m < tokens.rows(); ++m) {
+        const TokenRoute& g = got.tokens[static_cast<size_t>(m)];
+        const TokenRoute& w = want.tokens[static_cast<size_t>(m)];
+        ASSERT_EQ(g.experts.size(), w.experts.size());
+        for (size_t k = 0; k < g.experts.size(); ++k) {
+          EXPECT_EQ(g.experts[k], w.experts[k]) << "token " << m;
+          EXPECT_EQ(std::bit_cast<uint32_t>(g.weights[k]),
+                    std::bit_cast<uint32_t>(w.weights[k]))
+              << "token " << m;
+        }
+        // The scratch logits after routing one row are that row's logits.
+        Tensor one(Shape{1, n});
+        one.SetRow(0, tokens.row(m));
+        RoutingTable single;
+        network.RouteInto(one, topk, scratch, &single);
+        const std::vector<float>& want_row =
+            want_logits[static_cast<size_t>(m)];
+        for (size_t j = 0; j < want_row.size(); ++j) {
+          EXPECT_EQ(std::bit_cast<uint32_t>(scratch.logits[j]),
+                    std::bit_cast<uint32_t>(want_row[j]))
+              << "token " << m << " expert " << j;
+        }
+      }
+    }
+  }
 }
 
 TEST(SyntheticRouter, UniformLoadGivesLowStd) {
@@ -310,6 +420,114 @@ TEST(GroupGemm, EnumerateCountsTiles) {
 }
 
 // ---- activation ------------------------------------------------------------------
+
+// What ApplyActivationTile stores for one element on the scalar path: the
+// element function in f32, rounded on store at 2-byte dtypes.
+float ScalarActivation(ActivationKind kind, DType dtype, float x) {
+  switch (kind) {
+    case ActivationKind::kGelu:
+      x = GeluScalar(x);
+      break;
+    case ActivationKind::kSilu:
+      x = SiluScalar(x);
+      break;
+    case ActivationKind::kRelu:
+      x = x > 0.0f ? x : 0.0f;
+      break;
+    case ActivationKind::kIdentity:
+      break;
+  }
+  return dtype == DType::kF32 ? x : QuantizeScalar(x, dtype);
+}
+
+// A (256, 256) tensor at `dtype` whose element p is the f32 value that the
+// 16-bit pattern p names: every input the table can be indexed by, NaNs,
+// infinities, signed zeros and subnormals included.
+Tensor AllPatterns(DType dtype) {
+  Tensor t(Shape{256, 256}, dtype);
+  auto data = t.data();
+  for (uint32_t p = 0; p < (1u << 16); ++p) {
+    const uint16_t bits = static_cast<uint16_t>(p);
+    data[p] = dtype == DType::kBF16 ? Bf16ToF32(bits) : F16ToF32(bits);
+  }
+  return t;
+}
+
+// Bitwise comparison of `got` against ScalarActivation over `inputs`; reports
+// the mismatch count and the first mismatching input.
+void ExpectScalarPathBits(const Tensor& got, const Tensor& inputs,
+                          ActivationKind kind) {
+  const auto g = got.data();
+  const auto in = inputs.data();
+  int64_t mismatches = 0;
+  for (size_t i = 0; i < in.size(); ++i) {
+    const uint32_t want =
+        std::bit_cast<uint32_t>(ScalarActivation(kind, got.dtype(), in[i]));
+    const uint32_t have = std::bit_cast<uint32_t>(g[i]);
+    if (have != want && mismatches++ == 0) {
+      EXPECT_EQ(have, want) << "first mismatch at input bits 0x" << std::hex
+                            << std::bit_cast<uint32_t>(in[i]);
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+// Defined first among this suite's table users, so in a whole-binary run
+// (and always under ctest, one process per test) the SiLU/f16 table is
+// unbuilt when the chunks race to it. At COMET_THREADS=8 up to eight pool
+// threads first-touch it together.
+TEST(ActivationTable, ConcurrentFirstUseFromParallelForChunks) {
+  const Tensor inputs = AllPatterns(DType::kF16);
+  Tensor t = inputs;
+  ParallelForChunks(0, t.rows(), 1, [&](int64_t rb, int64_t re) {
+    ApplyActivationTile(t, ActivationKind::kSilu, rb, re, 0, t.cols());
+  });
+  ExpectScalarPathBits(t, inputs, ActivationKind::kSilu);
+}
+
+// Test name suffix "<kind>_<dtype>", e.g. "gelu_bf16".
+std::string KindDtypeName(
+    const ::testing::TestParamInfo<std::tuple<ActivationKind, DType>>& info) {
+  constexpr const char* kKinds[] = {"gelu", "silu", "relu"};
+  return std::string(kKinds[static_cast<int>(std::get<0>(info.param))]) +
+         "_" + DTypeName(std::get<1>(info.param));
+}
+
+class ActivationTableTest
+    : public ::testing::TestWithParam<std::tuple<ActivationKind, DType>> {};
+
+TEST_P(ActivationTableTest, EveryPatternMatchesScalarPathBitwise) {
+  const auto [kind, dtype] = GetParam();
+  const Tensor inputs = AllPatterns(dtype);
+  Tensor t = inputs;
+  ApplyActivation(t, kind);
+  ExpectScalarPathBits(t, inputs, kind);
+}
+
+TEST_P(ActivationTableTest, UnroundedInputsTakeScalarPath) {
+  const auto [kind, dtype] = GetParam();
+  // Raw writes whose f32 bits are no 16-bit value, so a table indexed by
+  // their truncated or rounded pattern would be wrong for some of them.
+  Rng rng(17);
+  Tensor inputs = Tensor::Randn(Shape{64, 64}, rng, 3.0f, DType::kF32);
+  inputs.data()[0] = 1.0f + 0x1p-20f;
+  // Just above the midpoint of 1 and the next bf16 (1 + 2^-7) and f16
+  // (1 + 2^-10) values: rounds up, while its truncated pattern is 1.0.
+  inputs.data()[1] = 1.0f + 0x1p-8f + 0x1p-20f;
+  inputs.data()[2] = 1.0f + 0x1p-11f + 0x1p-20f;
+  Tensor t(inputs.shape(), dtype);
+  std::copy(inputs.data().begin(), inputs.data().end(), t.data().begin());
+  ApplyActivation(t, kind);
+  ExpectScalarPathBits(t, inputs, kind);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    KindsByDtype, ActivationTableTest,
+    ::testing::Combine(::testing::Values(ActivationKind::kGelu,
+                                         ActivationKind::kSilu,
+                                         ActivationKind::kRelu),
+                       ::testing::Values(DType::kBF16, DType::kF16)),
+    KindDtypeName);
 
 TEST(Activation, GeluValues) {
   EXPECT_NEAR(GeluScalar(0.0f), 0.0f, 1e-6f);
