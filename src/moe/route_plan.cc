@@ -1,5 +1,8 @@
 #include "moe/route_plan.h"
 
+#include <algorithm>
+#include <numeric>
+
 #include "util/check.h"
 
 namespace comet {
@@ -23,6 +26,7 @@ void RoutePlan::Reserve(const Placement& placement,
   max_replicas_ = max_replicas;
   routing_.tokens.reserve(static_cast<size_t>(placement.total_tokens()));
   const int ep = placement.parallel().ep;
+  remote_pair_rows_.reserve(static_cast<size_t>(ep * ep));
   per_group_.resize(static_cast<size_t>(ep));
   for (RankPlan& plan : per_group_) {
     plan.experts.resize(
@@ -113,6 +117,7 @@ void RoutePlan::Rebuild(const Placement& placement,
   // is source-group order because tokens are block-sharded. A replicated
   // expert's pairs alternate home/replica by ordinal (the deterministic
   // 50/50 traffic split).
+  remote_pair_rows_.assign(static_cast<size_t>(ep * ep), 0);
   for (int64_t t = 0; t < placement_.total_tokens(); ++t) {
     const TokenRoute& route = routing_.tokens[static_cast<size_t>(t)];
     const int home = placement_.HomeGroupOfToken(t);
@@ -130,6 +135,9 @@ void RoutePlan::Rebuild(const Placement& placement,
           .experts[static_cast<size_t>(local)]
           .rows.push_back(
               ExpertRow{t, home, static_cast<int64_t>(k), route.weights[k]});
+      if (g != home) {
+        ++remote_pair_rows_[static_cast<size_t>(home * ep + g)];
+      }
     }
   }
 }
@@ -175,49 +183,47 @@ int64_t RoutePlan::RemoteRows(int rank) const {
 
 std::vector<std::vector<double>> RoutePlan::DispatchBytes(
     double bytes_per_row) const {
-  const int world = placement_.world();
-  const int tp = placement_.parallel().tp;
-  std::vector<std::vector<double>> bytes(
-      static_cast<size_t>(world),
-      std::vector<double>(static_cast<size_t>(world), 0.0));
-  for (int g = 0; g < placement_.parallel().ep; ++g) {
-    for (const auto& slice : per_group_[static_cast<size_t>(g)].experts) {
-      for (const auto& row : slice.rows) {
-        if (row.source_group == g) {
-          continue;
-        }
-        for (int lane = 0; lane < tp; ++lane) {
-          const int src = placement_.RankOf(row.source_group, lane);
-          const int dst = placement_.RankOf(g, lane);
-          bytes[static_cast<size_t>(src)][static_cast<size_t>(dst)] +=
-              bytes_per_row;
-        }
-      }
-    }
-  }
-  return bytes;
+  return LaneMatchedBytes(bytes_per_row, /*toward_home=*/false);
 }
 
 std::vector<std::vector<double>> RoutePlan::EpReturnBytes(
     double bytes_per_row) const {
+  return LaneMatchedBytes(bytes_per_row, /*toward_home=*/true);
+}
+
+std::vector<std::vector<double>> RoutePlan::LaneMatchedBytes(
+    double bytes_per_row, bool toward_home) const {
   const int world = placement_.world();
+  const int ep = placement_.parallel().ep;
   const int tp = placement_.parallel().tp;
+  // Lane `lane` of one (home, consuming) group pair is the only source of
+  // its (src, dst) cell, so the cell is `count` adds of bytes_per_row from
+  // 0.0: the same chain, and the same bits, as adding row by row. Every
+  // cell is a prefix of one chain, so the pairs are visited in ascending
+  // count order and the chain is walked once, to the largest count.
+  std::vector<int> pairs(static_cast<size_t>(ep * ep));
+  std::iota(pairs.begin(), pairs.end(), 0);
+  std::sort(pairs.begin(), pairs.end(), [this](int a, int b) {
+    return remote_pair_rows_[static_cast<size_t>(a)] <
+           remote_pair_rows_[static_cast<size_t>(b)];
+  });
   std::vector<std::vector<double>> bytes(
       static_cast<size_t>(world),
       std::vector<double>(static_cast<size_t>(world), 0.0));
-  for (int g = 0; g < placement_.parallel().ep; ++g) {
-    for (const auto& slice : per_group_[static_cast<size_t>(g)].experts) {
-      for (const auto& row : slice.rows) {
-        if (row.source_group == g) {
-          continue;
-        }
-        for (int lane = 0; lane < tp; ++lane) {
-          const int src = placement_.RankOf(g, lane);
-          const int dst = placement_.RankOf(row.source_group, lane);
-          bytes[static_cast<size_t>(src)][static_cast<size_t>(dst)] +=
-              bytes_per_row;
-        }
-      }
+  double cell = 0.0;
+  int64_t added = 0;
+  for (const int pair : pairs) {
+    for (; added < remote_pair_rows_[static_cast<size_t>(pair)]; ++added) {
+      cell += bytes_per_row;
+    }
+    const int home = pair / ep;
+    const int g = pair % ep;
+    for (int lane = 0; lane < tp; ++lane) {
+      const int a = placement_.RankOf(home, lane);
+      const int b = placement_.RankOf(g, lane);
+      const int src = toward_home ? b : a;
+      const int dst = toward_home ? a : b;
+      bytes[static_cast<size_t>(src)][static_cast<size_t>(dst)] = cell;
     }
   }
   return bytes;

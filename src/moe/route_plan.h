@@ -139,9 +139,16 @@ class RoutePlan {
   std::vector<GemmProblemSize> Layer1Problems(int rank) const;
 
  private:
+  // DispatchBytes (toward the experts) and EpReturnBytes (toward home).
+  std::vector<std::vector<double>> LaneMatchedBytes(double bytes_per_row,
+                                                    bool toward_home) const;
+
   Placement placement_;
   RoutingTable routing_;
   std::vector<RankPlan> per_group_;
+  // Rows whose token's home group differs from the group that consumes
+  // them, per (home group, consuming group): entry [home * ep + g].
+  std::vector<int64_t> remote_pair_rows_;
   int max_replicas_ = 0;
   // Per-expert scratch for the replica split (sized num_experts; reused
   // across Rebuilds): pair ordinal counter, and the replica (group, slice)

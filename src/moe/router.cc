@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "util/check.h"
 #include "util/stats.h"
@@ -216,6 +217,27 @@ void GateNetwork::RouteInto(const Tensor& tokens, int64_t topk,
   }
 }
 
+namespace {
+
+// One vector of SyntheticRouter lanes. GCC/Clang vector extension, as in the
+// GroupGEMM microkernel: each operation is the lane-wise IEEE operation, so
+// the result is the same on targets that split it into narrower vectors.
+constexpr int64_t kLanesPerVec = 8;
+typedef double LaneVec __attribute__((vector_size(kLanesPerVec *
+                                                  sizeof(double)),
+                                      aligned(alignof(double))));
+typedef int64_t CountVec __attribute__((vector_size(kLanesPerVec *
+                                                    sizeof(int64_t))));
+static_assert(SyntheticRouter::kBlockTokens % kLanesPerVec == 0);
+
+inline LaneVec LoadLanes(const double* p) {
+  LaneVec v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+}  // namespace
+
 SyntheticRouter::SyntheticRouter(std::vector<double> load, uint64_t seed)
     : load_(std::move(load)), rng_(seed) {
   COMET_CHECK(!load_.empty());
@@ -225,10 +247,16 @@ SyntheticRouter::SyntheticRouter(std::vector<double> load, uint64_t seed)
     sum += p;
   }
   COMET_CHECK_GT(sum, 0.0);
+  const size_t lanes = static_cast<size_t>(kBlockTokens);
+  lane_weights_.reserve(load_.size() * lanes);
   for (auto& p : load_) {
     p /= sum;
+    first_total_ += p;
+    positive_experts_ += p > 0.0 ? 1 : 0;
+    lane_weights_.insert(lane_weights_.end(), lanes, p);
   }
-  weights_scratch_.reserve(load_.size());
+  draws_.assign(2 * load_.size() * lanes, 0.0);
+  picks_.assign(load_.size() * lanes, 0);
 }
 
 RoutingTable SyntheticRouter::Route(int64_t num_tokens, int64_t topk) {
@@ -239,35 +267,93 @@ RoutingTable SyntheticRouter::Route(int64_t num_tokens, int64_t topk) {
 
 void SyntheticRouter::RouteInto(int64_t num_tokens, int64_t topk,
                                 int64_t shift, RoutingTable* table) {
+  constexpr int64_t W = kBlockTokens;
+  constexpr int64_t V = kBlockTokens / kLanesPerVec;
   COMET_CHECK(table != nullptr);
-  const int64_t e_total = static_cast<int64_t>(load_.size());
+  COMET_CHECK_GE(num_tokens, 0);
   COMET_CHECK_GT(topk, 0);
-  COMET_CHECK_LE(topk, e_total);
+  COMET_CHECK_LE(topk, positive_experts_)
+      << "topk " << topk << " exceeds the " << positive_experts_
+      << " experts with positive load";
   COMET_CHECK_GE(shift, 0);
+  const int64_t e_total = num_experts();
+  // The shift rotates the STORED ids only, after sampling, so the rng
+  // consumption (and hence every later draw) is independent of the phase.
+  const int64_t rotate = shift % e_total;
   table->tokens.resize(static_cast<size_t>(num_tokens));
-  for (int64_t m = 0; m < num_tokens; ++m) {
-    // Sample topk distinct experts without replacement. The shift rotates
-    // the STORED ids only, after sampling, so the rng consumption (and
-    // hence every later draw) is independent of the drift phase.
-    weights_scratch_.assign(load_.begin(), load_.end());
-    TokenRoute& route = table->tokens[static_cast<size_t>(m)];
-    route.experts.clear();
-    route.weights.clear();
-    for (int64_t k = 0; k < topk; ++k) {
-      const size_t e = rng_.Categorical(weights_scratch_);
-      route.experts.push_back(
-          (static_cast<int64_t>(e) + shift) % e_total);
-      weights_scratch_[e] = 0.0;
+  double* w = lane_weights_.data();
+  double* draws = draws_.data();
+  for (int64_t first = 0; first < num_tokens; first += W) {
+    const int64_t lanes = std::min(W, num_tokens - first);
+    // Lanes past `lanes` rerun stale draws; their picks are discarded.
+    for (int64_t l = 0; l < lanes; ++l) {
+      for (int64_t j = 0; j < 2 * topk; ++j) {
+        draws[j * W + l] = rng_.NextDouble();
+      }
     }
-    // Random combine weights, renormalized.
-    float sum = 0.0f;
+    // Expert draw k of every lane: fold the masked weights, then scan.
     for (int64_t k = 0; k < topk; ++k) {
-      const float w = static_cast<float>(rng_.Uniform(0.5, 1.5));
-      route.weights.push_back(w);
-      sum += w;
+      LaneVec total[V] = {};
+      LaneVec r[V];
+      CountVec kept[V];
+      if (k == 0) {
+        for (int64_t v = 0; v < V; ++v) {
+          total[v] += first_total_;  // 0.0 + x == x
+        }
+      } else {
+        for (int64_t i = 0; i < e_total; ++i) {
+          for (int64_t v = 0; v < V; ++v) {
+            total[v] += LoadLanes(w + i * W + v * kLanesPerVec);
+          }
+        }
+      }
+      for (int64_t v = 0; v < V; ++v) {
+        r[v] = LoadLanes(draws + k * W + v * kLanesPerVec) * total[v];
+        kept[v] = CountVec{};
+      }
+      // The scan: a true lane compare is -1, so `kept` counts the steps
+      // that left r >= 0, i.e. the index of the drawn expert.
+      for (int64_t i = 0; i < e_total; ++i) {
+        for (int64_t v = 0; v < V; ++v) {
+          r[v] -= LoadLanes(w + i * W + v * kLanesPerVec);
+          kept[v] -= r[v] >= 0.0;
+        }
+      }
+      for (int64_t v = 0; v < V; ++v) {
+        for (int64_t j = 0; j < kLanesPerVec; ++j) {
+          const int64_t l = v * kLanesPerVec + j;
+          const int64_t e = std::min<int64_t>(kept[v][j], e_total - 1);
+          picks_[static_cast<size_t>(k * W + l)] = e;
+          w[e * W + l] = 0.0;
+        }
+      }
     }
-    for (auto& w : route.weights) {
-      w /= sum;
+    for (int64_t l = 0; l < lanes; ++l) {
+      TokenRoute& route = table->tokens[static_cast<size_t>(first + l)];
+      route.experts.clear();
+      route.weights.clear();
+      for (int64_t k = 0; k < topk; ++k) {
+        const int64_t e = picks_[static_cast<size_t>(k * W + l)] + rotate;
+        route.experts.push_back(e < e_total ? e : e - e_total);
+      }
+      // Random combine weights (Uniform(0.5, 1.5)), renormalized.
+      float sum = 0.0f;
+      for (int64_t k = 0; k < topk; ++k) {
+        const float cw = static_cast<float>(
+            0.5 + (1.5 - 0.5) * draws[(topk + k) * W + l]);
+        route.weights.push_back(cw);
+        sum += cw;
+      }
+      for (auto& cw : route.weights) {
+        cw /= sum;
+      }
+    }
+    // Unmask the drawn experts for the next block.
+    for (int64_t k = 0; k < topk; ++k) {
+      for (int64_t l = 0; l < W; ++l) {
+        const int64_t e = picks_[static_cast<size_t>(k * W + l)];
+        w[e * W + l] = load_[static_cast<size_t>(e)];
+      }
     }
   }
 }

@@ -118,8 +118,30 @@ class GateNetwork {
 };
 
 // Load-controlled synthetic router.
+//
+// Block contract. RouteInto draws kBlockTokens tokens ("lanes") at a time,
+// and every lane runs exactly the IEEE operations of the per-token sampler
+// below, so each table is bit-identical to drawing one token after another:
+//  * Drawing ahead is legal. A token consumes exactly 2 * topk NextDouble()
+//    values -- topk expert draws, then topk combine-weight draws -- however
+//    the experts fall, so a block's values are taken up front in the
+//    per-token order (lane 0's, then lane 1's, ...).
+//  * Expert draw k of a token folds `total` from 0.0 over the experts in
+//    ascending order, with the experts it already drew counted as +0.0
+//    (x + 0.0 == x, so masking equals leaving them out), sets
+//    r = u * total, and subtracts the weights in ascending order: the first
+//    expert after which r < 0 is drawn, and E - 1 if r never goes negative.
+//    r only falls, so that expert's index is the number of steps that left
+//    r >= 0 -- a count the lanes can take without branching.
+//  * Draw 0's total is the same for every token and is folded once, at
+//    construction.
+// A prefix-sum binary search would not reproduce the `r -= w` chain bit for
+// bit, so the scan stays linear.
 class SyntheticRouter {
  public:
+  // Tokens drawn side by side in one block.
+  static constexpr int64_t kBlockTokens = 32;
+
   // `load` is a probability vector over experts (see Rng::LoadVectorWithStd).
   SyntheticRouter(std::vector<double> load, uint64_t seed);
 
@@ -133,8 +155,9 @@ class SyntheticRouter {
   // shift to model drifting (diurnal) load: the same seeded draw sequence,
   // with the hot spot walking across experts as simulated time advances.
   // shift == 0 consumes the rng exactly like Route (bit-identical tables).
-  // Allocation-free once `table` and the internal scratch are warm and topk
-  // fits TokenRoute's inline storage.
+  // A topk above the number of experts with positive load throws CheckError
+  // before anything is drawn or written. Allocation-free once `table` is
+  // warm and topk fits TokenRoute's inline storage.
   void RouteInto(int64_t num_tokens, int64_t topk, int64_t shift,
                  RoutingTable* table);
 
@@ -142,7 +165,13 @@ class SyntheticRouter {
 
  private:
   std::vector<double> load_;
-  std::vector<double> weights_scratch_;  // per-token sampling weights
+  double first_total_ = 0.0;        // load_ folded from 0.0, ascending
+  int64_t positive_experts_ = 0;    // experts with load > 0
+  // Lane scratch, sized at construction for any topk <= E. Expert-major:
+  // entry [i * kBlockTokens + lane] holds expert (or draw) i of that lane.
+  std::vector<double> lane_weights_;  // load_, drawn experts at +0.0
+  std::vector<double> draws_;         // the block's 2 * topk draws per lane
+  std::vector<int64_t> picks_;        // the block's drawn experts per lane
   Rng rng_;
 };
 

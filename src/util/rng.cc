@@ -17,8 +17,6 @@ uint64_t SplitMix64(uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
@@ -26,23 +24,6 @@ Rng::Rng(uint64_t seed) {
   for (auto& s : state_) {
     s = SplitMix64(sm);
   }
-}
-
-uint64_t Rng::NextU64() {
-  const uint64_t result = Rotl(state_[1] * 5, 7) * 9;
-  const uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
-  return result;
-}
-
-double Rng::NextDouble() {
-  // 53 high bits -> double in [0, 1).
-  return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
 }
 
 int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
@@ -80,24 +61,6 @@ double Rng::Normal(double mean, double stddev) {
   cached_normal_ = r * std::sin(theta);
   has_cached_normal_ = true;
   return mean + stddev * r * std::cos(theta);
-}
-
-size_t Rng::Categorical(const std::vector<double>& weights) {
-  COMET_CHECK(!weights.empty());
-  double total = 0.0;
-  for (double w : weights) {
-    COMET_CHECK_GE(w, 0.0);
-    total += w;
-  }
-  COMET_CHECK_GT(total, 0.0) << "categorical weights must not all be zero";
-  double r = NextDouble() * total;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    r -= weights[i];
-    if (r < 0.0) {
-      return i;
-    }
-  }
-  return weights.size() - 1;  // numeric edge: r landed exactly on total
 }
 
 std::vector<double> Rng::LoadVectorWithStd(size_t n, double target_std) {

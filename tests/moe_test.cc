@@ -225,6 +225,198 @@ TEST(SyntheticRouter, SkewedLoadTracksTarget) {
   EXPECT_GT(table.LoadStd(8), 0.015);
 }
 
+TEST(SyntheticRouter, DrawsFollowLoadWeights) {
+  SyntheticRouter router({1.0, 3.0}, 6);
+  const RoutingTable table = router.Route(20000, 1);
+  int count1 = 0;
+  for (const TokenRoute& t : table.tokens) {
+    if (t.experts[0] == 1) {
+      ++count1;
+    }
+  }
+  EXPECT_NEAR(static_cast<double>(count1) / table.size(), 0.75, 0.02);
+}
+
+TEST(SyntheticRouter, RejectsAllZeroLoad) {
+  EXPECT_THROW(SyntheticRouter({0.0, 0.0}, 7), CheckError);
+}
+
+// The per-token sampler SyntheticRouter::RouteInto ran before it drew
+// tokens a block at a time: a categorical draw (`r -= w` scan) per expert,
+// the drawn expert's weight zeroed, then the combine weights.
+size_t PerTokenCategorical(Rng& rng, const std::vector<double>& weights) {
+  COMET_CHECK(!weights.empty());
+  double total = 0.0;
+  for (double w : weights) {
+    COMET_CHECK_GE(w, 0.0);
+    total += w;
+  }
+  COMET_CHECK_GT(total, 0.0) << "categorical weights must not all be zero";
+  double r = rng.NextDouble() * total;
+  for (size_t i = 0; i < weights.size(); ++i) {
+    r -= weights[i];
+    if (r < 0.0) {
+      return i;
+    }
+  }
+  return weights.size() - 1;
+}
+
+class PerTokenRouter {
+ public:
+  PerTokenRouter(std::vector<double> load, uint64_t seed)
+      : load_(std::move(load)), rng_(seed) {
+    double sum = 0.0;
+    for (double p : load_) {
+      sum += p;
+    }
+    for (auto& p : load_) {
+      p /= sum;
+    }
+  }
+
+  void RouteInto(int64_t num_tokens, int64_t topk, int64_t shift,
+                 RoutingTable* table) {
+    const int64_t e_total = static_cast<int64_t>(load_.size());
+    table->tokens.resize(static_cast<size_t>(num_tokens));
+    for (int64_t m = 0; m < num_tokens; ++m) {
+      weights_.assign(load_.begin(), load_.end());
+      TokenRoute& route = table->tokens[static_cast<size_t>(m)];
+      route.experts.clear();
+      route.weights.clear();
+      for (int64_t k = 0; k < topk; ++k) {
+        const size_t e = PerTokenCategorical(rng_, weights_);
+        route.experts.push_back((static_cast<int64_t>(e) + shift) % e_total);
+        weights_[e] = 0.0;
+      }
+      float sum = 0.0f;
+      for (int64_t k = 0; k < topk; ++k) {
+        const float w = static_cast<float>(rng_.Uniform(0.5, 1.5));
+        route.weights.push_back(w);
+        sum += w;
+      }
+      for (auto& w : route.weights) {
+        w /= sum;
+      }
+    }
+  }
+
+ private:
+  std::vector<double> load_;
+  std::vector<double> weights_;
+  Rng rng_;
+};
+
+void ExpectSameTable(const RoutingTable& got, const RoutingTable& want,
+                     const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (size_t t = 0; t < want.tokens.size(); ++t) {
+    const TokenRoute& g = got.tokens[t];
+    const TokenRoute& w = want.tokens[t];
+    ASSERT_EQ(g.experts, w.experts) << where << " token " << t;
+    ASSERT_EQ(g.weights.size(), w.weights.size()) << where << " token " << t;
+    for (size_t k = 0; k < w.weights.size(); ++k) {
+      ASSERT_EQ(std::bit_cast<uint32_t>(g.weights[k]),
+                std::bit_cast<uint32_t>(w.weights[k]))
+          << where << " token " << t << " slot " << k;
+    }
+  }
+}
+
+// Uniform, Figure-14-style skewed (std 0.1, clamping leaves exact zeros at
+// large E), and every third expert at exactly zero.
+std::vector<std::vector<double>> RouterLoads(int64_t e_total) {
+  const size_t n = static_cast<size_t>(e_total);
+  std::vector<double> zeros(n);
+  for (size_t i = 0; i < n; ++i) {
+    zeros[i] = i % 3 == 1 ? 0.0 : 1.0 + static_cast<double>(i);
+  }
+  return {std::vector<double>(n, 1.0),
+          Rng(static_cast<uint64_t>(e_total)).LoadVectorWithStd(n, 0.1),
+          zeros};
+}
+
+int64_t PositiveExperts(const std::vector<double>& load) {
+  return std::count_if(load.begin(), load.end(),
+                       [](double p) { return p > 0.0; });
+}
+
+TEST(SyntheticRouter, BlockedRouteIntoIsBitEqualToPerTokenLoop) {
+  constexpr int64_t kW = SyntheticRouter::kBlockTokens;
+  for (int64_t e_total : {1, 2, 7, 8, 16, 64, 65}) {
+    const auto loads = RouterLoads(e_total);
+    for (size_t li = 0; li < loads.size(); ++li) {
+      for (int64_t topk : {int64_t{1}, int64_t{2}, int64_t{4}, e_total}) {
+        if (topk > PositiveExperts(loads[li])) {
+          continue;
+        }
+        for (int64_t tokens : {int64_t{1}, kW - 1, kW, kW + 1, int64_t{67},
+                               int64_t{16384}}) {
+          // The full-size table at topk = E > 4 would only repeat the
+          // smaller sizes' coverage at E times the cost.
+          if (tokens == 16384 && topk > 4) {
+            continue;
+          }
+          for (int64_t shift : {0, 3}) {
+            const uint64_t seed = static_cast<uint64_t>(e_total * 131 + topk);
+            SyntheticRouter router(loads[li], seed);
+            PerTokenRouter reference(loads[li], seed);
+            RoutingTable got;
+            RoutingTable want;
+            router.RouteInto(tokens, topk, shift, &got);
+            reference.RouteInto(tokens, topk, shift, &want);
+            ExpectSameTable(got, want,
+                            "E=" + std::to_string(e_total) + " load " +
+                                std::to_string(li) + " topk=" +
+                                std::to_string(topk) + " tokens=" +
+                                std::to_string(tokens) + " shift=" +
+                                std::to_string(shift));
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SyntheticRouter, ReusedTableAcrossSizesIsBitEqualToPerTokenLoop) {
+  constexpr int64_t kW = SyntheticRouter::kBlockTokens;
+  const std::vector<double> load = Rng(21).LoadVectorWithStd(16, 0.05);
+  SyntheticRouter router(load, 22);
+  PerTokenRouter reference(load, 22);
+  RoutingTable got;
+  RoutingTable want;
+  const int64_t sizes[] = {67, 1, 16384, kW + 1, 0, kW - 1, 67};
+  for (size_t call = 0; call < std::size(sizes); ++call) {
+    const int64_t shift = static_cast<int64_t>(call % 3);
+    router.RouteInto(sizes[call], 2, shift, &got);
+    reference.RouteInto(sizes[call], 2, shift, &want);
+    ExpectSameTable(got, want, "call " + std::to_string(call));
+  }
+}
+
+TEST(SyntheticRouter, TopkAbovePositiveExpertsThrowsBeforeWriting) {
+  const std::vector<double> load = {1.0, 0.0, 2.0, 0.0};
+  SyntheticRouter router(load, 5);
+  RoutingTable table = router.Route(5, 2);
+  const RoutingTable before = table;
+  try {
+    router.RouteInto(10, 3, /*shift=*/0, &table);
+    FAIL() << "topk 3 over 2 positive-load experts did not throw";
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("topk 3"), std::string::npos) << what;
+    EXPECT_NE(what.find("the 2 experts with positive load"),
+              std::string::npos)
+        << what;
+  }
+  // Nothing written, nothing drawn: the next table is the one a router
+  // that never saw the bad call draws second.
+  ExpectSameTable(table, before, "after the throw");
+  SyntheticRouter fresh(load, 5);
+  fresh.Route(5, 2);
+  ExpectSameTable(router.Route(9, 2), fresh.Route(9, 2), "next draw");
+}
+
 TEST(RoutingTable, ValidateCatchesDuplicates) {
   RoutingTable table;
   table.tokens.push_back(TokenRoute{{1, 1}, {0.5f, 0.5f}});
@@ -330,6 +522,82 @@ TEST_F(RoutePlanTest, EpReturnMirrorsDispatch) {
       EXPECT_DOUBLE_EQ(ret[static_cast<size_t>(i)][static_cast<size_t>(j)],
                        dispatch[static_cast<size_t>(j)][static_cast<size_t>(i)]);
     }
+  }
+}
+
+// The byte matrices as they were built before the per-pair row counts: one
+// `+= bytes_per_row` per remote row and lane, rows walked in plan order.
+std::vector<std::vector<double>> PerRowBytes(const RoutePlan& plan,
+                                             double bytes_per_row,
+                                             bool toward_home) {
+  const Placement& placement = plan.placement();
+  const size_t world = static_cast<size_t>(placement.world());
+  std::vector<std::vector<double>> bytes(world,
+                                         std::vector<double>(world, 0.0));
+  for (int g = 0; g < placement.parallel().ep; ++g) {
+    for (const auto& slice : plan.ForGroup(g).experts) {
+      for (const auto& row : slice.rows) {
+        if (row.source_group == g) {
+          continue;
+        }
+        for (int lane = 0; lane < placement.parallel().tp; ++lane) {
+          int src = placement.RankOf(row.source_group, lane);
+          int dst = placement.RankOf(g, lane);
+          if (toward_home) {
+            std::swap(src, dst);
+          }
+          bytes[static_cast<size_t>(src)][static_cast<size_t>(dst)] +=
+              bytes_per_row;
+        }
+      }
+    }
+  }
+  return bytes;
+}
+
+void ExpectSameBytes(const RoutePlan& plan, double bytes_per_row,
+                     const std::string& where) {
+  for (const bool toward_home : {false, true}) {
+    const auto got = toward_home ? plan.EpReturnBytes(bytes_per_row)
+                                 : plan.DispatchBytes(bytes_per_row);
+    const auto want = PerRowBytes(plan, bytes_per_row, toward_home);
+    ASSERT_EQ(got.size(), want.size()) << where;
+    for (size_t i = 0; i < want.size(); ++i) {
+      for (size_t j = 0; j < want.size(); ++j) {
+        ASSERT_EQ(std::bit_cast<uint64_t>(got[i][j]),
+                  std::bit_cast<uint64_t>(want[i][j]))
+            << where << (toward_home ? " return" : " dispatch") << " [" << i
+            << "][" << j << "]";
+      }
+    }
+  }
+}
+
+TEST_F(RoutePlanTest, ByteMatricesAreBitEqualToPerRowSums) {
+  // A chunk fraction makes bytes_per_row non-integer, so the row-by-row
+  // sums round; the matrices must round exactly the same way.
+  const double row_bytes[] = {1.0, 8192.0 * 0.37, 0.1};
+  for (const auto& [tp, ep] : {std::pair{1, 1}, std::pair{1, 8},
+                               std::pair{2, 4}, std::pair{4, 2}}) {
+    for (const int64_t tokens : {8, 64, 4096}) {
+      const MoeWorkload w = Make(tp, ep, tokens);
+      for (const double b : row_bytes) {
+        ExpectSameBytes(w.plan, b,
+                        "tp=" + std::to_string(tp) + " ep=" +
+                            std::to_string(ep) + " tokens=" +
+                            std::to_string(tokens));
+      }
+    }
+  }
+  // A replica slice moves half of an expert's rows to another group.
+  const MoeWorkload w = Make(1, 4, 4096);
+  RoutePlan plan;
+  plan.Reserve(w.placement, 4096, 1);
+  const ReplicaAssignment replica{/*expert=*/0, /*ep_group=*/3, /*slot=*/0};
+  plan.Rebuild(w.placement, w.routing, std::span(&replica, 1));
+  ASSERT_GT(plan.ReplicaRows(), 0);
+  for (const double b : row_bytes) {
+    ExpectSameBytes(plan, b, "replica");
   }
 }
 

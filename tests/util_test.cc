@@ -103,24 +103,6 @@ TEST(Rng, NormalMoments) {
   EXPECT_NEAR(PopulationStddev(draws), 2.0, 0.1);
 }
 
-TEST(Rng, CategoricalFollowsWeights) {
-  Rng rng(6);
-  const std::vector<double> weights = {1.0, 3.0};
-  int count1 = 0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) {
-    if (rng.Categorical(weights) == 1) {
-      ++count1;
-    }
-  }
-  EXPECT_NEAR(static_cast<double>(count1) / n, 0.75, 0.02);
-}
-
-TEST(Rng, CategoricalRejectsAllZero) {
-  Rng rng(7);
-  EXPECT_THROW(rng.Categorical({0.0, 0.0}), CheckError);
-}
-
 TEST(Rng, LoadVectorZeroStdIsUniform) {
   Rng rng(8);
   const auto v = rng.LoadVectorWithStd(8, 0.0);
