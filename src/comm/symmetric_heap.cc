@@ -11,19 +11,6 @@ namespace comet {
 
 namespace {
 
-// FNV-1a over the f32 bit patterns of a stored row -- the same family the
-// serving plane digests with, so a checksum pins exact bits, not values.
-uint64_t RowChecksum(std::span<const float> row) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  const auto* p = reinterpret_cast<const unsigned char*>(row.data());
-  const size_t n = row.size() * sizeof(float);
-  for (size_t i = 0; i < n; ++i) {
-    h ^= static_cast<uint64_t>(p[i]);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 // splitmix64 finalizer: the corruption injector's pure decision hash.
 uint64_t HashMix(uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
@@ -33,6 +20,40 @@ uint64_t HashMix(uint64_t x) {
 }
 
 }  // namespace
+
+uint64_t RowChecksum(std::span<const float> row) {
+  constexpr uint64_t kBasis = 0xcbf29ce484222325ULL;
+  constexpr uint64_t kPrime = 0x100000001b3ULL;
+  constexpr size_t kLanes = 4;
+  const auto* p = reinterpret_cast<const unsigned char*>(row.data());
+  const size_t n = row.size() * sizeof(float);
+  uint64_t lane[kLanes] = {kBasis, kBasis, kBasis, kBasis};
+  size_t i = 0;
+  for (; i + kLanes * 8 <= n; i += kLanes * 8) {
+    for (size_t l = 0; l < kLanes; ++l) {
+      uint64_t word = 0;
+      std::memcpy(&word, p + i + l * 8, 8);
+      lane[l] = (lane[l] ^ word) * kPrime;
+    }
+  }
+  // Leftover whole words continue round-robin from lane 0; a float count
+  // leaves at most one 4-byte tail, which goes into lane 0.
+  for (size_t l = 0; i + 8 <= n; i += 8, ++l) {
+    uint64_t word = 0;
+    std::memcpy(&word, p + i, 8);
+    lane[l] = (lane[l] ^ word) * kPrime;
+  }
+  if (i < n) {
+    uint32_t tail = 0;
+    std::memcpy(&tail, p + i, 4);
+    lane[0] = (lane[0] ^ tail) * kPrime;
+  }
+  uint64_t h = (kBasis ^ static_cast<uint64_t>(n)) * kPrime;
+  for (const uint64_t v : lane) {
+    h = (h ^ v) * kPrime;
+  }
+  return h;
+}
 
 SymmetricHeap::SymmetricHeap(int world_size, HeapIntegrityOptions integrity)
     : world_size_(world_size),

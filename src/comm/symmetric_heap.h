@@ -39,6 +39,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -48,12 +49,23 @@ namespace comet {
 
 using SymmetricBufferId = int64_t;
 
+// Word-lane FNV-1a over the f32 bit patterns of a stored row: four
+// independent 64-bit lanes take the row's 8-byte words round-robin (word w
+// into lane w mod 4), a 4-byte tail goes into lane 0, and one FNV chain
+// folds the byte length and then the four lanes. Every step maps its state
+// bijectively ((h ^ w) * odd prime is invertible in h and in w), so any
+// change confined to one lane -- every single-bit flip, as the injector
+// makes -- always changes the sum: detection is guaranteed, not just
+// probable. The sum is private integrity state (recorded at put, compared
+// at read); no digest, pin or export contains it.
+uint64_t RowChecksum(std::span<const float> row);
+
 // Transport-integrity options, off by default (training and bench paths
 // trust the in-process heap; the serving plane turns verification on).
 //
-// With checksum_rows, every put records an FNV-1a checksum of the row it
-// stored (post-wire-quantization bits), and every get/copy re-hashes the
-// stored row and compares before handing the data out. A
+// With checksum_rows, every put records a RowChecksum of the row it stored
+// (post-wire-quantization bits), and every get/copy re-hashes the stored row
+// and compares before handing the data out. A
 // mismatch throws CheckError naming the buffer, rank and row -- a corrupted
 // payload is always detected at its first consumer, never silently served.
 // Rows that were never put (bulk Local() initialization) carry no checksum

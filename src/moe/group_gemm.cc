@@ -1,6 +1,7 @@
 #include "moe/group_gemm.h"
 
 #include <algorithm>
+#include <cstring>
 #include <vector>
 
 #include "util/check.h"
@@ -11,8 +12,11 @@ namespace {
 
 // Register-blocked microkernel geometry: each inner block accumulates an
 // MR x NR patch of C in registers (NR floats = one AVX-512 or two AVX2
-// vectors), streaming A broadcasts against a packed B panel.
-constexpr int64_t kMR = 4;
+// vectors), streaming A broadcasts against a k x NR panel of B. The NN
+// kernel blocks kMR = 8 rows (8 AVX-512 accumulators); the TN kernel keeps
+// 4-row blocks.
+constexpr int64_t kMR = 8;
+constexpr int64_t kTnMR = 4;
 constexpr int64_t kNR = 16;
 
 // One NR-wide accumulator/operand row. GCC/Clang vector extension rather
@@ -35,10 +39,11 @@ constexpr int64_t kRowGrain = 8;
 
 // The mixed-precision store: rounds the C region a kernel just produced to
 // C's dtype (RNE). This is the tensor-core contract -- low-precision inputs,
-// f32 accumulate, round once on store -- expressed as a second pass so the
-// f32 microkernels stay untouched. Per-element rounding of a value that is
-// itself a pure function of coordinates keeps the whole-vs-tiled and
-// 1-vs-N-thread bit-exactness guarantees at every dtype. No-op for f32.
+// f32 accumulate, round once on store. The NN kernel rounds each block as it
+// stores it (NNBlock); the NT/TN kernels round in this second pass.
+// Per-element rounding of a value that is itself a pure function of
+// coordinates keeps the whole-vs-tiled and 1-vs-N-thread bit-exactness
+// guarantees at every dtype. No-op for f32.
 void QuantizeStore(Tensor& c, int64_t row_begin, int64_t row_end,
                    int64_t col_begin, int64_t col_end) {
   const DType dtype = c.dtype();
@@ -54,8 +59,24 @@ void QuantizeStore(Tensor& c, int64_t row_begin, int64_t row_end,
   }
 }
 
-// Per-thread packed B panel (k x kNR, zero-padded in the column direction).
-// Thread-local so tile kernels stay reentrant across pool workers.
+// Bf16ToF32(F32ToBf16(x)) on every lane (tensor/dtype.cc): RNE on the upper
+// 16 bits, and a NaN keeps its sign and top payload bits with the quiet bit
+// forced, so it can never round to an infinity.
+Vec RoundToBf16(const Vec& v) {
+  typedef uint32_t UVec __attribute__((vector_size(sizeof(Vec))));
+  UVec bits{};
+  std::memcpy(&bits, &v, sizeof(Vec));
+  const UVec rounded = (bits + 0x7fffu + ((bits >> 16) & 1u)) & 0xffff0000u;
+  const UVec nan = (bits & 0xffff0000u) | 0x00400000u;
+  const UVec out = (bits & 0x7fffffffu) > 0x7f800000u ? nan : rounded;
+  Vec result{};
+  std::memcpy(&result, &out, sizeof(Vec));
+  return result;
+}
+
+// Per-thread packed B panel (k x kNR, zero-padded in the column direction)
+// for a ragged last column chunk. Thread-local so tile kernels stay
+// reentrant across pool workers.
 std::vector<float>& PanelScratch() {
   thread_local std::vector<float> scratch;
   return scratch;
@@ -63,72 +84,96 @@ std::vector<float>& PanelScratch() {
 
 // ---- NN: C[i, j] = sum_p A[i, p] * B[p, j] ---------------------------------
 //
-// Accumulation order per C element is p-ascending with a single chain, a
-// pure function of (i, j, k): independent of the tile bounds and of the
-// (row, column) blocking below, so whole-vs-tiled and 1-vs-N-thread runs are
-// bit-identical. The old kernel's `a_ip == 0.0f` skip is gone on purpose:
+// Accumulation order per C element is p-ascending with a single chain from
+// +0.0, a pure function of (i, j, k): independent of the tile bounds and of
+// the (row, column) blocking below, so whole-vs-tiled and 1-vs-N-thread runs
+// are bit-identical. The old kernel's `a_ip == 0.0f` skip is gone on purpose:
 // the branch broke vectorization and cost more on dense data than it ever
 // saved on sparse (see bench/micro_groupgemm).
-void GemmTileImpl(const float* a, const float* b, float* c, int64_t k,
-                  int64_t n, int64_t row_begin, int64_t row_end,
-                  int64_t col_begin, int64_t col_end) {
-  std::vector<float>& panel = PanelScratch();
-  panel.resize(static_cast<size_t>(k * kNR));
-  float* pk = panel.data();
-
-  for (int64_t jj = col_begin; jj < col_end; jj += kNR) {
-    const int64_t width = std::min(kNR, col_end - jj);
-    // The B panel is packed once per column chunk, with unused lanes padded
-    // with zeros so the full-width kernel below never reads past the
-    // logical columns.
-    for (int64_t p = 0; p < k; ++p) {
-      const float* b_row = b + p * n + jj;
-      float* dst = pk + p * kNR;
+//
+// One R x kNR block of C: rows [0, R) of `a` (row stride k) against the
+// k x kNR panel at `panel` (row stride `ldb`), storing the first `width`
+// lanes of each row at `c` (row stride n), rounded to `dtype`. R is a
+// template parameter so every block size, the 1-7 row leftovers included,
+// keeps its accumulators in registers.
+template <int R>
+void NNBlock(const float* a, const float* panel, int64_t ldb, float* c,
+             int64_t k, int64_t n, int64_t width, DType dtype) {
+  Vec acc[R] = {};
+  for (int64_t p = 0; p < k; ++p) {
+    const Vec bp = LoadVec(panel + p * ldb);
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) {
+      acc[r] += a[r * k + p] * bp;
+    }
+  }
+  for (int r = 0; r < R; ++r) {
+    const Vec out = dtype == DType::kBF16 ? RoundToBf16(acc[r]) : acc[r];
+    float* c_row = c + r * n;
+    if (width == kNR) {
+      std::memcpy(c_row, &out, sizeof(Vec));
+    } else {
       for (int64_t t = 0; t < width; ++t) {
-        dst[t] = b_row[t];
-      }
-      for (int64_t t = width; t < kNR; ++t) {
-        dst[t] = 0.0f;
+        c_row[t] = out[t];
       }
     }
+    if (dtype == DType::kF16) {
+      QuantizeSpan(std::span<float>(c_row, static_cast<size_t>(width)),
+                   dtype);
+    }
+  }
+}
 
-    for (int64_t ii = row_begin; ii < row_end; ii += kMR) {
-      const int64_t rows = std::min(kMR, row_end - ii);
-      if (rows == kMR) {
-        const float* a0 = a + (ii + 0) * k;
-        const float* a1 = a + (ii + 1) * k;
-        const float* a2 = a + (ii + 2) * k;
-        const float* a3 = a + (ii + 3) * k;
-        Vec acc0{}, acc1{}, acc2{}, acc3{};
-        for (int64_t p = 0; p < k; ++p) {
-          const Vec bp = LoadVec(pk + p * kNR);
-          acc0 += a0[p] * bp;
-          acc1 += a1[p] * bp;
-          acc2 += a2[p] * bp;
-          acc3 += a3[p] * bp;
+void NNLeftoverBlock(int rows, const float* a, const float* panel,
+                     int64_t ldb, float* c, int64_t k, int64_t n,
+                     int64_t width, DType dtype) {
+  switch (rows) {
+    case 1: return NNBlock<1>(a, panel, ldb, c, k, n, width, dtype);
+    case 2: return NNBlock<2>(a, panel, ldb, c, k, n, width, dtype);
+    case 3: return NNBlock<3>(a, panel, ldb, c, k, n, width, dtype);
+    case 4: return NNBlock<4>(a, panel, ldb, c, k, n, width, dtype);
+    case 5: return NNBlock<5>(a, panel, ldb, c, k, n, width, dtype);
+    case 6: return NNBlock<6>(a, panel, ldb, c, k, n, width, dtype);
+    case 7: return NNBlock<7>(a, panel, ldb, c, k, n, width, dtype);
+  }
+}
+
+void GemmTileImpl(const float* a, const float* b, float* c, int64_t k,
+                  int64_t n, int64_t row_begin, int64_t row_end,
+                  int64_t col_begin, int64_t col_end, DType dtype) {
+  const int64_t full_rows = row_begin + (row_end - row_begin) / kMR * kMR;
+  for (int64_t jj = col_begin; jj < col_end; jj += kNR) {
+    const int64_t width = std::min(kNR, col_end - jj);
+    // A full-width chunk reads B -- the static expert weight -- in place.
+    // Only a ragged last chunk packs its k x width panel, zero-padded so the
+    // full-width loads never read past the logical columns.
+    const float* panel = b + jj;
+    int64_t ldb = n;
+    if (width < kNR) {
+      std::vector<float>& scratch = PanelScratch();
+      scratch.resize(static_cast<size_t>(k * kNR));
+      float* pk = scratch.data();
+      for (int64_t p = 0; p < k; ++p) {
+        const float* b_row = b + p * n + jj;
+        float* dst = pk + p * kNR;
+        for (int64_t t = 0; t < width; ++t) {
+          dst[t] = b_row[t];
         }
-        const Vec* accs[kMR] = {&acc0, &acc1, &acc2, &acc3};
-        for (int64_t r = 0; r < kMR; ++r) {
-          float* c_row = c + (ii + r) * n + jj;
-          for (int64_t t = 0; t < width; ++t) {
-            c_row[t] = (*accs[r])[t];
-          }
-        }
-      } else {
-        Vec acc[kMR] = {};
-        for (int64_t p = 0; p < k; ++p) {
-          const Vec bp = LoadVec(pk + p * kNR);
-          for (int64_t r = 0; r < rows; ++r) {
-            acc[r] += a[(ii + r) * k + p] * bp;
-          }
-        }
-        for (int64_t r = 0; r < rows; ++r) {
-          float* c_row = c + (ii + r) * n + jj;
-          for (int64_t t = 0; t < width; ++t) {
-            c_row[t] = acc[r][t];
-          }
+        for (int64_t t = width; t < kNR; ++t) {
+          dst[t] = 0.0f;
         }
       }
+      panel = pk;
+      ldb = kNR;
+    }
+    for (int64_t ii = row_begin; ii < full_rows; ii += kMR) {
+      NNBlock<kMR>(a + ii * k, panel, ldb, c + ii * n + jj, k, n, width,
+                   dtype);
+    }
+    if (full_rows < row_end) {
+      NNLeftoverBlock(static_cast<int>(row_end - full_rows),
+                      a + full_rows * k, panel, ldb, c + full_rows * n + jj,
+                      k, n, width, dtype);
     }
   }
 }
@@ -183,9 +228,9 @@ void GemmTNTileImpl(const float* a, const float* b, float* c, int64_t m,
                     int64_t col_begin, int64_t col_end) {
   for (int64_t jj = col_begin; jj < col_end; jj += kNR) {
     const int64_t width = std::min(kNR, col_end - jj);
-    for (int64_t qq = row_begin; qq < row_end; qq += kMR) {
-      const int64_t rows = std::min(kMR, row_end - qq);
-      if (rows == kMR && width == kNR) {
+    for (int64_t qq = row_begin; qq < row_end; qq += kTnMR) {
+      const int64_t rows = std::min(kTnMR, row_end - qq);
+      if (rows == kTnMR && width == kNR) {
         Vec acc0{}, acc1{}, acc2{}, acc3{};
         for (int64_t i = 0; i < m; ++i) {
           const float* a_row = a + i * k + qq;
@@ -195,8 +240,8 @@ void GemmTNTileImpl(const float* a, const float* b, float* c, int64_t m,
           acc2 += a_row[2] * bp;
           acc3 += a_row[3] * bp;
         }
-        const Vec* accs[kMR] = {&acc0, &acc1, &acc2, &acc3};
-        for (int64_t r = 0; r < kMR; ++r) {
+        const Vec* accs[kTnMR] = {&acc0, &acc1, &acc2, &acc3};
+        for (int64_t r = 0; r < kTnMR; ++r) {
           float* c_row = c + (qq + r) * n + jj;
           for (int64_t t = 0; t < kNR; ++t) {
             c_row[t] = (*accs[r])[t];
@@ -205,7 +250,7 @@ void GemmTNTileImpl(const float* a, const float* b, float* c, int64_t m,
       } else {
         // Edge block: scalar accumulators, same per-element i-ascending
         // chain (partial-width vector loads would read past the B row).
-        float acc[kMR][kNR] = {};
+        float acc[kTnMR][kNR] = {};
         for (int64_t i = 0; i < m; ++i) {
           const float* bp = b + i * n + jj;
           for (int64_t r = 0; r < rows; ++r) {
@@ -247,8 +292,7 @@ void GemmTile(const Tensor& a, const Tensor& b, Tensor& c, int64_t row_begin,
   COMET_CHECK_LE(col_begin, col_end);
 
   GemmTileImpl(a.data().data(), b.data().data(), c.data().data(), k, n,
-               row_begin, row_end, col_begin, col_end);
-  QuantizeStore(c, row_begin, row_end, col_begin, col_end);
+               row_begin, row_end, col_begin, col_end, c.dtype());
 }
 
 void Gemm(const Tensor& a, const Tensor& b, Tensor& c) {
@@ -267,8 +311,7 @@ void Gemm(const Tensor& a, const Tensor& b, Tensor& c) {
   // Row partition of C: chunks write disjoint rows, so the parallel run is
   // bit-identical to the serial one at any thread count.
   ParallelForChunks(0, m, kRowGrain, [&](int64_t rb, int64_t re) {
-    GemmTileImpl(a_data, b_data, c_data, k, n, rb, re, 0, n);
-    QuantizeStore(c, rb, re, 0, n);
+    GemmTileImpl(a_data, b_data, c_data, k, n, rb, re, 0, n, c.dtype());
   });
 }
 

@@ -24,7 +24,6 @@ void RoutePlan::Reserve(const Placement& placement,
   COMET_CHECK_GE(max_rows_per_expert, 0);
   COMET_CHECK_GE(max_replicas, 0);
   max_replicas_ = max_replicas;
-  routing_.tokens.reserve(static_cast<size_t>(placement.total_tokens()));
   const int ep = placement.parallel().ep;
   remote_pair_rows_.reserve(static_cast<size_t>(ep * ep));
   per_group_.resize(static_cast<size_t>(ep));
@@ -53,9 +52,8 @@ void RoutePlan::Rebuild(const Placement& placement,
                         const RoutingTable& routing,
                         std::span<const ReplicaAssignment> replicas) {
   placement_ = placement;
-  routing_ = routing;
-  COMET_CHECK_EQ(routing_.size(), placement_.total_tokens());
-  routing_.Validate(placement_.model().num_experts, placement_.model().topk);
+  COMET_CHECK_EQ(routing.size(), placement_.total_tokens());
+  routing.Validate(placement_.model().num_experts, placement_.model().topk);
 
   const int ep = placement_.parallel().ep;
   const int64_t epg = placement_.ExpertsPerGroup();
@@ -119,7 +117,7 @@ void RoutePlan::Rebuild(const Placement& placement,
   // 50/50 traffic split).
   remote_pair_rows_.assign(static_cast<size_t>(ep * ep), 0);
   for (int64_t t = 0; t < placement_.total_tokens(); ++t) {
-    const TokenRoute& route = routing_.tokens[static_cast<size_t>(t)];
+    const TokenRoute& route = routing.tokens[static_cast<size_t>(t)];
     const int home = placement_.HomeGroupOfToken(t);
     for (size_t k = 0; k < route.experts.size(); ++k) {
       const int64_t e = route.experts[k];

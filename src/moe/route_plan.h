@@ -94,8 +94,9 @@ class RoutePlan {
 
   // Rebuilds the plan in place for a new routing (and possibly a new token
   // count), retaining all per-expert row capacity. Allocation-free once
-  // capacities are warm (Reserve, or a previous Rebuild of equal size) and
-  // every route fits TokenRoute's inline storage.
+  // capacities are warm (Reserve, or a previous Rebuild of equal size).
+  // `routing` is read in place: the plan keeps neither a copy nor a
+  // reference.
   void Rebuild(const Placement& placement, const RoutingTable& routing);
 
   // Replica-aware Rebuild: `replicas` holds at most one ACTIVE assignment
@@ -113,7 +114,6 @@ class RoutePlan {
   int max_replicas() const { return max_replicas_; }
 
   const Placement& placement() const { return placement_; }
-  const RoutingTable& routing() const { return routing_; }
 
   const RankPlan& ForRank(int rank) const;
   const RankPlan& ForGroup(int ep_group) const;
@@ -144,7 +144,6 @@ class RoutePlan {
                                                     bool toward_home) const;
 
   Placement placement_;
-  RoutingTable routing_;
   std::vector<RankPlan> per_group_;
   // Rows whose token's home group differs from the group that consumes
   // them, per (home group, consuming group): entry [home * ep + g].

@@ -6,6 +6,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -654,6 +655,103 @@ TEST(GroupGemm, TileExecutionEqualsWhole) {
     }
   }
   EXPECT_EQ(Tensor::MaxAbsDiff(whole, tiled), 0.0f);
+}
+
+// The kernel contract as a scalar loop: C[i, j] for rows [rb, re) x cols
+// [cb, ce) is one p-ascending f32 chain from +0.0, rounded once to C's
+// dtype; the rest of C is left as it was.
+void ScalarChainInto(const Tensor& a, const Tensor& b, Tensor& c, int64_t rb,
+                     int64_t re, int64_t cb, int64_t ce) {
+  const int64_t k = a.cols();
+  const int64_t n = b.cols();
+  for (int64_t i = rb; i < re; ++i) {
+    for (int64_t j = cb; j < ce; ++j) {
+      float acc = 0.0f;
+      for (int64_t p = 0; p < k; ++p) {
+        acc += a.data()[static_cast<size_t>(i * k + p)] *
+               b.data()[static_cast<size_t>(p * n + j)];
+      }
+      c.data()[static_cast<size_t>(i * n + j)] =
+          QuantizeScalar(acc, c.dtype());
+    }
+  }
+}
+
+bool SameBits(const Tensor& x, const Tensor& y) {
+  return x.data().size() == y.data().size() &&
+         (x.data().empty() ||
+          std::memcmp(x.data().data(), y.data().data(),
+                      x.data().size_bytes()) == 0);
+}
+
+// Gemm and GemmTile equal the scalar chain bit for bit at shapes that reach
+// every block the kernel has: 8-row blocks and each 1-7 row leftover,
+// full-width 16-column chunks read in place and ragged packed ones, k = 1
+// through 129. The tile sits at non-zero row and column offsets, and its
+// surroundings must stay untouched.
+TEST(GroupGemm, BitEqualToScalarChainAtEveryBlockShape) {
+  constexpr float kSentinel = -7.5f;  // exact at bf16 too
+  constexpr int64_t kRowOff = 3;
+  constexpr int64_t kColOff = 5;
+  Rng rng(24);
+  for (const DType dtype : {DType::kF32, DType::kBF16}) {
+    for (const int64_t k : {1, 3, 64, 129}) {
+      for (const int64_t n : {1, 15, 16, 17, 31, 32, 33, 64}) {
+        for (int64_t m = 0; m < 20; ++m) {
+          SCOPED_TRACE(DTypeName(dtype) + " m=" + std::to_string(m) +
+                       " n=" + std::to_string(n) + " k=" + std::to_string(k));
+          const Tensor a = Tensor::Randn(Shape{m, k}, rng);
+          const Tensor b = Tensor::Randn(Shape{k, n}, rng);
+          Tensor whole_want(Shape{m, n}, dtype);
+          ScalarChainInto(a, b, whole_want, 0, m, 0, n);
+          Tensor whole = Tensor::Full(Shape{m, n}, kSentinel, dtype);
+          Gemm(a, b, whole);
+          EXPECT_TRUE(SameBits(whole, whole_want)) << "Gemm";
+
+          const Tensor ao = Tensor::Randn(Shape{m + kRowOff + 2, k}, rng);
+          const Tensor bo = Tensor::Randn(Shape{k, n + kColOff + 3}, rng);
+          const Shape c_shape{ao.rows(), bo.cols()};
+          Tensor tile_want = Tensor::Full(c_shape, kSentinel, dtype);
+          ScalarChainInto(ao, bo, tile_want, kRowOff, kRowOff + m, kColOff,
+                          kColOff + n);
+          Tensor tile = Tensor::Full(c_shape, kSentinel, dtype);
+          GemmTile(ao, bo, tile, kRowOff, kRowOff + m, kColOff, kColOff + n);
+          EXPECT_TRUE(SameBits(tile, tile_want)) << "GemmTile";
+        }
+      }
+    }
+  }
+}
+
+// The NN kernel rounds to bf16/f16 as it stores a block. With k = 1 and
+// A = [[1]], C = +0.0 + 1 * B, so C must hold QuantizeScalar of every B
+// pattern: all 2^16 upper halves, each with a zero, below-half, tie,
+// above-half and all-ones lower half -- NaNs, infinities, overflow to
+// infinity, subnormals and signed zeros included.
+TEST(GroupGemm, RoundOnStoreMatchesQuantizeScalarOnEveryUpperHalf) {
+  constexpr uint32_t kLows[] = {0x0000u, 0x7fffu, 0x8000u, 0x8001u, 0xffffu};
+  constexpr int64_t kLowCount = sizeof(kLows) / sizeof(kLows[0]);
+  const int64_t n = 65536 * kLowCount;
+  const Tensor a = Tensor::Full(Shape{1, 1}, 1.0f);
+  Tensor b(Shape{1, n});
+  for (int64_t j = 0; j < n; ++j) {
+    const uint32_t hi = static_cast<uint32_t>(j / kLowCount);
+    b.data()[static_cast<size_t>(j)] =
+        std::bit_cast<float>(hi << 16 | kLows[j % kLowCount]);
+  }
+  for (const DType dtype : {DType::kBF16, DType::kF16}) {
+    SCOPED_TRACE(DTypeName(dtype));
+    Tensor c(Shape{1, n}, dtype);
+    Gemm(a, b, c);
+    int64_t mismatches = 0;
+    for (int64_t j = 0; j < n; ++j) {
+      const float x = b.data()[static_cast<size_t>(j)];
+      const float want = QuantizeScalar(0.0f + 1.0f * x, dtype);
+      mismatches += std::bit_cast<uint32_t>(c.data()[static_cast<size_t>(j)]) !=
+                    std::bit_cast<uint32_t>(want);
+    }
+    EXPECT_EQ(mismatches, 0);
+  }
 }
 
 TEST(GroupGemm, TileOrderDoesNotChangeResult) {

@@ -27,9 +27,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "comm/symmetric_heap.h"
@@ -635,6 +639,64 @@ TEST(TransportIntegrity, InjectedCorruptionAlwaysDetected) {
     total_corrupted += heap.rows_corrupted();
   }
   EXPECT_GT(total_corrupted, 0) << "rate 0.5 over 1600 rows cannot miss";
+}
+
+// Every single-bit flip of a stored row is detected and named, at widths
+// that reach each part of the word-lane checksum: a lone 4-byte tail
+// (width 1), fewer words than lanes, whole 32-byte lane blocks (width 8,
+// 16, 64), and the words and tail left over after them. The flips are made
+// by hand on the stored row, so every one of the 32 * width bits is tried.
+TEST(TransportIntegrity, EveryBitFlipDetectedAtEveryRowWidth) {
+  for (const int64_t width : {1, 2, 7, 8, 9, 15, 16, 17, 64, 65}) {
+    SCOPED_TRACE(std::string("width=") + std::to_string(width));
+    HeapIntegrityOptions integrity;
+    integrity.checksum_rows = true;
+    SymmetricHeap heap(2, integrity);
+    const auto buf = heap.Allocate("flipped", Shape{3, width});
+    Rng rng(static_cast<uint64_t>(width));
+    std::vector<float> row(static_cast<size_t>(width));
+    for (float& v : row) {
+      v = static_cast<float>(rng.Normal());
+    }
+    // The const view does not invalidate checksums the way a mutable
+    // Local() does; the flip below stands in for a corrupted link.
+    Tensor& stored =
+        const_cast<Tensor&>(std::as_const(heap).Local(buf, /*rank=*/1));
+    int64_t detected = 0;
+    for (int64_t bit = 0; bit < 32 * width; ++bit) {
+      heap.PutRow(buf, /*src_rank=*/0, /*dst_rank=*/1, /*dst_row=*/2, row);
+      float& elem = stored.row(2)[static_cast<size_t>(bit / 32)];
+      elem = std::bit_cast<float>(std::bit_cast<uint32_t>(elem) ^
+                                  (uint32_t{1} << (bit % 32)));
+      try {
+        heap.GetRow(buf, /*reader_rank=*/0, /*owner_rank=*/1, 2);
+      } catch (const CheckError& e) {
+        ++detected;
+        const std::string what = e.what();
+        EXPECT_NE(what.find("\"flipped\""), std::string::npos) << what;
+        EXPECT_NE(what.find("row 2@rank1"), std::string::npos) << what;
+      }
+    }
+    EXPECT_EQ(detected, 32 * width) << "a single-bit flip went undetected";
+  }
+}
+
+// The byte length is part of the sum: prefixes of one row -- all zeros, or
+// random -- hash pairwise differently at every length from 0 to 66 floats.
+TEST(TransportIntegrity, RowsDifferingOnlyInLengthHashDifferently) {
+  Rng rng(7);
+  std::vector<float> rows[2] = {std::vector<float>(66, 0.0f),
+                                std::vector<float>(66)};
+  for (float& v : rows[1]) {
+    v = static_cast<float>(rng.Normal());
+  }
+  for (const std::vector<float>& row : rows) {
+    std::set<uint64_t> sums;
+    for (size_t len = 0; len <= row.size(); ++len) {
+      sums.insert(RowChecksum(std::span<const float>(row.data(), len)));
+    }
+    EXPECT_EQ(sums.size(), row.size() + 1);
+  }
 }
 
 // Clean transport verifies and passes: checksums on, no injector, every
